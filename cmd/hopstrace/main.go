@@ -308,8 +308,8 @@ func runReplay(args []string, stdout io.Writer) error {
 		samples := d.Registry.Snapshot()
 		fmt.Fprintf(stdout, "\ntransaction phase latency:\n%s", bench.RenderPhaseTable(samples))
 		fmt.Fprintf(stdout, "\ncross-AZ bytes per operation type:\n%s", bench.RenderCrossAZTable(samples))
-		if d.DB != nil {
-			fmt.Fprintf(stdout, "\nlock contention:\n%s", d.DB.Contention().Render(10))
+		if d.Contention != nil {
+			fmt.Fprintf(stdout, "\nlock contention:\n%s", d.Contention.Render(10))
 		}
 		fmt.Fprintf(stdout, "\nslowest %d operations (of %d traced):\n", *slowest, sink.Total())
 		for _, sp := range sink.Slowest(*slowest) {
@@ -447,8 +447,8 @@ func runProfile(args []string, stdout io.Writer) error {
 	rep := profile.Analyze(spans)
 	fmt.Fprintf(w, "\ncritical-path attribution (share of end-to-end time per op type):\n%s", rep.Table())
 	fmt.Fprintln(w)
-	if d.DB != nil {
-		fmt.Fprint(w, d.DB.Contention().Render(*top))
+	if d.Contention != nil {
+		fmt.Fprint(w, d.Contention.Render(*top))
 	} else {
 		fmt.Fprintln(w, "(no contention ledger: CephFS setups run untraced)")
 	}

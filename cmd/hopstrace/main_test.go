@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestGenReplayRoundTrip(t *testing.T) {
@@ -218,5 +219,47 @@ func TestUnknownSubcommandSuggestion(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "subcommands:") {
 		t.Fatalf("usage missing from error: %v", err)
+	}
+}
+
+// TestProfileContentionLedgerCoversEveryShard replays the profile
+// subcommand's default trace (seed 1, 2000 ops, 8 clients) on two shards
+// and checks that the contention ledger counts every blocking event the
+// ndb.contention.blocks counters saw, on either shard — not only shard
+// 0's.
+func TestProfileContentionLedgerCoversEveryShard(t *testing.T) {
+	ops := genTrace(2000, 1)
+	d, err := buildReplayDeployment("HopsFS-CL (3,3)", 1, 3, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	d.EnableTracing(len(ops) + 64)
+	if _, _, err := replayConcurrent(d, ops, 8, 1000*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	var blocks int64
+	for _, s := range d.Registry.Snapshot() {
+		if strings.HasPrefix(s.Name, "ndb.contention.blocks{") {
+			blocks += int64(s.Value)
+		}
+	}
+	if blocks == 0 {
+		t.Fatal("replay recorded no blocking events; the check needs contention")
+	}
+	if got := d.Contention.Events(); got != blocks {
+		t.Fatalf("ledger counts %d blocking events, ndb.contention.blocks sums to %d", got, blocks)
+	}
+}
+
+// TestProfileCephHasNoContentionLedger checks that CephFS deployments,
+// which have no NDB layer, still report the ledger's absence.
+func TestProfileCephHasNoContentionLedger(t *testing.T) {
+	var out strings.Builder
+	if err := run([]string{"profile", "-setup", "CephFS", "-ops", "200", "-seed", "1"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "(no contention ledger: CephFS setups run untraced)") {
+		t.Fatalf("CephFS profile lost the no-ledger line:\n%s", out.String())
 	}
 }

@@ -37,10 +37,12 @@ func TestGridPointAllocCeiling(t *testing.T) {
 	defer d.Close()
 	cfg := DefaultRunConfig()
 	cfg.Window = 150 * time.Millisecond
-	// Heat sketches ride the hot path (op observer, path/inode/partition
-	// touches in the namenode and NDB layers); the ceiling must hold with
-	// them on. Tracked-key touches are alloc-free by design.
+	// Heat sketches and the SLO engine subscribe to the tracer's hot event
+	// path (finished ops, path/inode/partition touches in the namenode and
+	// NDB layers); the ceiling must hold with both on. Tracked-key touches
+	// are alloc-free by design.
 	cfg.Heat = true
+	cfg.SLO = true
 	var m0, m1 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&m0)

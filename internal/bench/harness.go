@@ -257,9 +257,7 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 	var sink *trace.Sink
 	if cfg.Profile {
 		sink = d.EnableTracing(ProfileSinkCap)
-		if d.DB != nil {
-			d.DB.Contention().Reset()
-		}
+		d.Contention.Reset()
 	}
 	var sloEng *slo.Engine
 	if cfg.SLO {
@@ -318,9 +316,7 @@ func Run(d *core.Deployment, cfg RunConfig) *Result {
 	if cfg.Profile {
 		res.Profile = profile.Analyze(sink.Spans())
 		res.SinkDropped = sink.Dropped()
-		if d.DB != nil {
-			res.Contention = d.DB.Contention()
-		}
+		res.Contention = d.Contention
 	}
 	if sloEng != nil {
 		res.SLOReport = sloEng.Report(now)

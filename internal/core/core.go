@@ -174,6 +174,11 @@ type Deployment struct {
 	NS     *namenode.Namesystem
 	Blocks *blocks.Manager
 
+	// Contention is the deployment-wide lock-contention ledger, subscribed
+	// to Tracer before any cluster runs a transaction, so it sees the lock
+	// waits of every shard (nil for CephFS).
+	Contention *ndb.ContentionLedger
+
 	// CephFS components (nil for HopsFS).
 	Ceph *cephfs.Cluster
 
@@ -295,6 +300,8 @@ func (d *Deployment) buildHops() error {
 	if err != nil {
 		return err
 	}
+	d.Contention = ndb.NewContentionLedger(d.Registry)
+	d.Tracer.Subscribe(d.Contention.OnEvent)
 	db.SetTracer(d.Tracer)
 	d.DB = db
 
@@ -457,8 +464,8 @@ func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, 
 }
 
 // EnableSLO starts the live SLO engine: every finishing root operation
-// feeds the engine's windowed latency sketches (via the tracer's op
-// observer), the deployment's components register health probes (NN
+// feeds the engine's windowed latency sketches (it subscribes to the
+// tracer), the deployment's components register health probes (NN
 // thread-pool utilization, NDB liveness/contention, block
 // under-replication), and a background ticker evaluates the burn-rate
 // alerter and health model every spec.Tick of virtual time, publishing
@@ -468,7 +475,7 @@ func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, 
 func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 	eng := slo.NewEngine(spec, d.Registry)
 	d.SLO = eng
-	d.installOpObserver()
+	d.Tracer.Subscribe(eng.OnEvent)
 	if d.NS != nil {
 		ns := d.NS
 		eng.RegisterComponent("namenode", func(now time.Duration) slo.ComponentStats {
@@ -520,26 +527,10 @@ func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 	return eng
 }
 
-// installOpObserver (re)installs the tracer's single op-observer slot as a
-// dispatcher over every consumer the deployment has enabled so far: the SLO
-// engine's windowed sketches and the heat collector's op-class sketch.
-// EnableSLO and EnableHeat both route through it, so enabling them in
-// either order composes instead of clobbering the slot.
-func (d *Deployment) installOpObserver() {
-	eng, h := d.SLO, d.Heat
-	if eng == nil && h == nil {
-		return
-	}
-	d.Tracer.SetOpObserver(func(op string, end, latency time.Duration, failed bool) {
-		eng.ObserveOp(op, end, latency, failed)
-		h.ObserveOp(op, end, latency, failed)
-	})
-}
-
-// EnableHeat starts namespace heat tracking: the namenode layer attributes
-// every operation's target path (per-depth subtree prefixes) and every
-// inode row read, the NDB layer attributes every row access to its table
-// and partition, and the tracer's op observer feeds per-op-class touches.
+// EnableHeat starts namespace heat tracking: the collector subscribes to
+// the tracer, so every operation's path (per-depth subtrees), inode read,
+// NDB row access (table and partition), finished op (op class) and, on
+// multi-shard deployments, sub-transaction begin (shard) is a touch.
 // A background ticker republishes the heat.* gauges every
 // cfg.PublishEvery of virtual time, so a flight recorder keeping the
 // "heat." prefix yields a heat timeline CSV. Pass a zero heat.Config for
@@ -548,16 +539,10 @@ func (d *Deployment) installOpObserver() {
 func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
 	h := heat.NewCollector(cfg, d.Registry)
 	d.Heat = h
-	d.installOpObserver()
-	if d.NS != nil {
-		d.NS.SetHeat(h)
+	if d.Router != nil && d.Router.Shards() > 1 {
+		h.EnableShardFamily(d.Router.Shards())
 	}
-	for _, c := range d.MetaClusters() {
-		c.SetHeat(h)
-	}
-	if d.Router != nil {
-		d.Router.SetHeat(h)
-	}
+	d.Tracer.Subscribe(h.OnEvent)
 	every := h.Config().PublishEvery
 	d.Env.Spawn("heat-publisher", func(p *sim.Proc) {
 		for !d.heatStop {
@@ -580,7 +565,7 @@ func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
 func (d *Deployment) EnableExemplars(cfg slo.ExemplarConfig) *slo.Exemplars {
 	x := slo.NewExemplars(d.SLO, cfg)
 	d.Exemplars = x
-	d.Tracer.SetSpanObserver(x.Observe)
+	d.Tracer.Subscribe(x.OnEvent)
 	return x
 }
 

@@ -61,10 +61,10 @@ type familyGauges struct {
 	top1, topk *trace.Gauge
 }
 
-// Collector owns one sketch per heat dimension and is the single
-// attachment point for the instrumented layers: the namenode feeds path
-// and inode touches, ndb feeds table and partition touches, and the
-// tracer's op observer feeds per-op-class touches. All touch methods are
+// Collector owns one sketch per heat dimension. It attaches to a
+// deployment as one tracer subscriber (OnEvent): the namenode's path and
+// inode touches, ndb's row accesses, the router's shard begins and every
+// finished operation arrive as trace events. All touch methods are
 // nil-receiver-safe and allocation-conscious — touching an already-tracked
 // key allocates nothing, so heat stays inside the grid-point allocation
 // ceiling.
@@ -78,9 +78,10 @@ type Collector struct {
 	parts    *TopK[string]
 	ops      *TopK[string]
 	// shards tracks per-shard routing balance. nil until a multi-shard
-	// router enables it (EnableShardFamily), so unsharded deployments
+	// deployment enables it (EnableShardFamily), so unsharded deployments
 	// publish and snapshot exactly the historical family set.
-	shards *TopK[string]
+	shards    *TopK[string]
+	shardKeys []string
 
 	// mu guards the partition-key cache and gauge handles; the sketches
 	// lock themselves.
@@ -167,35 +168,38 @@ func (c *Collector) partKey(table string, index int) string {
 	return keys[index]
 }
 
-// EnableShardFamily adds the "shard" key family: one key per shard,
-// touched by the router at every sub-transaction begin, so shard-balance
+// EnableShardFamily adds the "shard" key family over n shards ("shard0",
+// ...), touched at every routed sub-transaction begin, so shard-balance
 // skew ranks alongside tables and partitions in hotspot reports. The
 // family stays disabled (absent from Publish and Snapshot) until a
-// multi-shard router calls this.
-func (c *Collector) EnableShardFamily() {
+// multi-shard deployment calls this.
+func (c *Collector) EnableShardFamily(n int) {
 	if c == nil || c.shards != nil {
 		return
 	}
 	c.shards = NewTopK[string](c.cfg.K, c.cfg.Window)
+	for i := 0; i < n; i++ {
+		c.shardKeys = append(c.shardKeys, "shard"+strconv.Itoa(i))
+	}
 }
 
-// TouchShard attributes one routed sub-transaction to a shard key. The
-// caller passes a cached key string ("shard0", ...), so the touch
-// allocates nothing; a no-op until EnableShardFamily.
-func (c *Collector) TouchShard(now time.Duration, key string) {
-	if c == nil || c.shards == nil {
-		return
+// OnEvent is the collector's trace.Subscriber: every touch kind feeds its
+// family, and every finished operation feeds the op-class sketch.
+func (c *Collector) OnEvent(ev trace.Event) {
+	switch ev.Kind {
+	case trace.OpFinish:
+		c.ops.Touch(ev.At, ev.Op, 1)
+	case trace.RowAccess:
+		c.TouchPartition(ev.At, ev.Table, ev.Index)
+	case trace.PathTouch:
+		c.TouchPath(ev.At, ev.Path)
+	case trace.InodeTouch:
+		c.TouchInode(ev.At, ev.Inode)
+	case trace.ShardBegin:
+		if c.shards != nil {
+			c.shards.Touch(ev.At, c.shardKeys[ev.Index], 1)
+		}
 	}
-	c.shards.Touch(now, key, 1)
-}
-
-// ObserveOp is a trace.OpObserver feeding the op-class sketch: heat rides
-// the same hook the SLO engine consumes.
-func (c *Collector) ObserveOp(op string, end, _ time.Duration, _ bool) {
-	if c == nil {
-		return
-	}
-	c.ops.Touch(end, op, 1)
 }
 
 // familyNames orders the published families deterministically; "shard"

@@ -70,7 +70,7 @@ func TestCollectorPublishGauges(t *testing.T) {
 	c.TouchPath(0, "/hot/b")
 	c.TouchPath(0, "/hot/c")
 	c.TouchPath(0, "/cold/x")
-	c.ObserveOp("stat", 0, time.Millisecond, false)
+	c.OnEvent(trace.Event{Kind: trace.OpFinish, Op: "stat", Dur: time.Millisecond})
 	c.Publish(0)
 
 	if got := reg.Gauge("heat.subtree.d1.top1_share").Value(); got != 0.75 {

@@ -10,6 +10,7 @@ import (
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/shard"
 	"hopsfscl/internal/sim"
+	"hopsfscl/internal/trace"
 )
 
 // splitPath validates an absolute path and returns its components.
@@ -60,8 +61,16 @@ func (nn *NameNode) readInode(tx *shard.Txn, parent uint64, name string) (*Inode
 	if !ok {
 		return nil, ErrNotFound
 	}
-	nn.ns.heat.TouchInode(tx.Now(), ino.ID)
+	nn.touchInode(ino.ID)
 	return ino, nil
+}
+
+// touchInode emits one inode read. The kernel runs one process at a time,
+// so the environment's clock is the reading process's.
+func (nn *NameNode) touchInode(id uint64) {
+	if tr := nn.ns.tracer; tr.Subscribed() {
+		tr.Emit(trace.Event{Kind: trace.InodeTouch, At: nn.ns.db.Env().Now(), Inode: id})
+	}
 }
 
 // lockInode re-reads an inode under a row lock on the primary replica.
@@ -77,7 +86,7 @@ func (nn *NameNode) lockInode(tx *shard.Txn, parent uint64, name string, mode nd
 	if !ok {
 		return nil, ErrNotFound
 	}
-	nn.ns.heat.TouchInode(tx.Now(), ino.ID)
+	nn.touchInode(ino.ID)
 	return ino, nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"hopsfscl/internal/blocks"
-	"hopsfscl/internal/heat"
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/shard"
 	"hopsfscl/internal/sim"
@@ -194,18 +193,6 @@ type Namesystem struct {
 	// both are nil for uninstrumented deployments.
 	tracer *trace.Tracer
 	obs    *nnObs
-
-	// heat attributes operation paths (per-depth subtree prefixes) and
-	// touched inodes to the deployment's heat collector; nil for
-	// deployments without heat tracking (see SetHeat).
-	heat *heat.Collector
-}
-
-// SetHeat attaches a heat collector: every operation attributes one touch
-// per enclosing subtree of its target path, and every inode row read
-// attributes one inode touch. A nil collector detaches.
-func (ns *Namesystem) SetHeat(h *heat.Collector) {
-	ns.heat = h
 }
 
 // nnObs caches the namesystem's pre-registered metric handles.
@@ -241,8 +228,9 @@ func (o *nnObs) fallback() {
 }
 
 // SetTracer attaches the namesystem to a deployment's tracer: every client
-// operation gets a root span, every transaction attempt a child span, and
-// the resolve-cache counter family is registered. A nil tracer detaches.
+// operation gets a root span, every transaction attempt a child span,
+// paths and inode reads are emitted as events, and the resolve-cache
+// counter family is registered. A nil tracer detaches.
 func (ns *Namesystem) SetTracer(tr *trace.Tracer) {
 	ns.tracer = tr
 	reg := tr.Registry()
@@ -734,11 +722,12 @@ func (ns *Namesystem) ResolvePendingIntents(p *sim.Proc) (int, error) {
 }
 
 // annotate tags the operation's active (root) span with the serving server
-// and target path, and attributes the path's subtrees to the heat
-// collector. Attributes only materialize in detailed tracing mode; heat
-// touches happen in aggregate mode too (the sketches are the aggregate).
+// and target path, and emits the path touch. Attributes only materialize
+// in detailed tracing mode; the touch is emitted in aggregate mode too.
 func (nn *NameNode) annotate(p *sim.Proc, path string) {
-	nn.ns.heat.TouchPath(p.Now(), path)
+	if tr := nn.ns.tracer; tr.Subscribed() {
+		tr.Emit(trace.Event{Kind: trace.PathTouch, At: p.Now(), Path: path})
+	}
 	if sp := p.Span(); sp != nil {
 		sp.SetAttr("nn", nn.Node.Name())
 		sp.SetAttr("path", path)

@@ -58,8 +58,7 @@ type batchGroup struct {
 // its replica slot (-1 when the TC serves a fully replicated row it does not
 // own), and the row's partition.
 func (t *Txn) routeRow(table *Table, partKey string) (*DataNode, int, *Partition) {
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
+	part := t.access(table, partKey)
 	reps := part.replicas()
 	if len(reps) == 0 {
 		return nil, -1, part

@@ -7,15 +7,17 @@ import (
 	"time"
 
 	"hopsfscl/internal/metrics"
+	"hopsfscl/internal/trace"
 )
 
-// This file is the contention ledger: when a transaction blocks on a row
-// lock, the cluster records who waited on whom — (table, lock mode, waiter
-// operation type, holder operation type, wait duration) — into a bounded,
-// deterministic aggregate, plus a sampled ring of individual wait-for
-// edges. The paper attributes HopsFS's behavior under load to hierarchical
-// lock contention (§V-C/V-E); the ledger turns the existing txn.lock_wait
-// total into "which op blocked which op on which table".
+// This file is the contention ledger: a tracer subscriber folding every
+// trace.LockWait event — who waited on whom: (table, lock mode, waiter
+// operation type, holder operation type, wait duration) — from every
+// cluster (shard) on that tracer into a bounded, deterministic aggregate,
+// plus a sampled ring of individual wait-for edges. The paper attributes
+// HopsFS's behavior under load to hierarchical lock contention
+// (§V-C/V-E); the ledger turns the existing txn.lock_wait total into
+// "which op blocked which op on which table".
 //
 // The kernel runs one process at a time, so the ledger needs no locking
 // (the same discipline as Cluster.Stats). All bounds are deterministic:
@@ -66,7 +68,7 @@ type WaitEdge struct {
 	TimedOut bool
 }
 
-// ContentionLedger is the bounded record of lock blocking in one cluster.
+// ContentionLedger is the bounded record of lock blocking on one tracer.
 type ContentionLedger struct {
 	capKeys     int
 	entries     map[contKey]*ContentionEntry
@@ -77,6 +79,12 @@ type ContentionLedger struct {
 	sampleCap   int
 	samples     []WaitEdge
 	sampleNext  int
+
+	// counters caches each key's ndb.contention.{blocks,wait_ns,pairs}
+	// handles, registered on the key's first event (the label space is
+	// data-dependent). The counters are cumulative: Reset keeps them.
+	reg      *trace.Registry
+	counters map[contKey]*[3]*trace.Counter
 }
 
 // ledger sizing: generous enough that real runs never overflow (tables ×
@@ -88,22 +96,52 @@ const (
 	contSampleEvery = 8
 )
 
-func newContentionLedger() *ContentionLedger {
+// NewContentionLedger returns an empty ledger mirroring its events into
+// reg (nil skips the counters). Attach it with Tracer.Subscribe(l.OnEvent).
+func NewContentionLedger(reg *trace.Registry) *ContentionLedger {
 	return &ContentionLedger{
 		capKeys:     contCapKeys,
 		entries:     make(map[contKey]*ContentionEntry),
 		sampleEvery: contSampleEvery,
 		sampleCap:   contSampleCap,
+		reg:         reg,
+		counters:    make(map[contKey]*[3]*trace.Counter),
 	}
 }
 
-// record folds one resolved blocking event into the ledger.
+// OnEvent is the ledger's trace.Subscriber: it records LockWait events.
+func (l *ContentionLedger) OnEvent(ev trace.Event) {
+	if ev.Kind != trace.LockWait {
+		return
+	}
+	mode := LockShared
+	if ev.Exclusive {
+		mode = LockExclusive
+	}
+	l.record(ev.At, ev.Table, ev.Holder, ev.Op, mode, ev.Dur, ev.Failed)
+}
+
+// record folds one resolved blocking event into the ledger and mirrors it
+// into the registry: per-table block and wait counters plus a
+// per-(holder, waiter) pair counter.
 func (l *ContentionLedger) record(now time.Duration, table, holder, waiter string, mode LockMode, wait time.Duration, timedOut bool) {
 	if l == nil {
 		return
 	}
 	l.events++
 	key := contKey{table: table, holder: holder, waiter: waiter, mode: mode}
+	c := l.counters[key]
+	if c == nil {
+		c = &[3]*trace.Counter{
+			l.reg.Counter("ndb.contention.blocks", "table", table),
+			l.reg.Counter("ndb.contention.wait_ns", "table", table),
+			l.reg.Counter("ndb.contention.pairs", "holder", holder, "waiter", waiter),
+		}
+		l.counters[key] = c
+	}
+	c[0].Add(1)
+	c[1].Add(int64(wait))
+	c[2].Add(1)
 	e := l.entries[key]
 	if e == nil {
 		if len(l.entries) >= l.capKeys {

@@ -10,11 +10,15 @@ import (
 )
 
 // runContention drives one holder/waiter collision on a traced cluster and
-// returns it for inspection.
-func runContention(t *testing.T) *Cluster {
+// returns the ledger subscribed to its tracer, plus the tracer's registry.
+func runContention(t *testing.T) (*ContentionLedger, *trace.Registry) {
 	t.Helper()
 	env, c, client := testCluster(t, true, 3)
-	c.SetTracer(trace.NewTracer(trace.NewRegistry()))
+	reg := trace.NewRegistry()
+	tr := trace.NewTracer(reg)
+	l := NewContentionLedger(reg)
+	tr.Subscribe(l.OnEvent)
+	c.SetTracer(tr)
 	tbl := c.CreateTable("inodes", 64, TableOptions{ReadBackup: true})
 	touch := func(name string, hold, delay time.Duration) {
 		env.Spawn(name, func(p *sim.Proc) {
@@ -37,15 +41,11 @@ func runContention(t *testing.T) *Cluster {
 	touch("holder-op", 30*time.Millisecond, 0)
 	touch("waiter-op", 0, 5*time.Millisecond)
 	env.RunFor(time.Second)
-	return c
+	return l, reg
 }
 
 func TestContentionLedgerRecordsBlockingPair(t *testing.T) {
-	c := runContention(t)
-	l := c.Contention()
-	if l == nil {
-		t.Fatal("no ledger on traced cluster")
-	}
+	l, reg := runContention(t)
 	if l.Events() != 1 {
 		t.Fatalf("events = %d, want 1", l.Events())
 	}
@@ -69,7 +69,6 @@ func TestContentionLedgerRecordsBlockingPair(t *testing.T) {
 		t.Fatalf("samples = %+v", samples)
 	}
 	// Registry metrics mirror the ledger.
-	reg := c.tracer.Registry()
 	if got := reg.Counter("ndb.contention.blocks", "table", "inodes").Value(); got != 1 {
 		t.Fatalf("ndb.contention.blocks = %d, want 1", got)
 	}
@@ -82,8 +81,9 @@ func TestContentionLedgerRecordsBlockingPair(t *testing.T) {
 }
 
 func TestContentionRenderDeterministic(t *testing.T) {
-	a := runContention(t).Contention().Render(10)
-	b := runContention(t).Contention().Render(10)
+	la, _ := runContention(t)
+	lb, _ := runContention(t)
+	a, b := la.Render(10), lb.Render(10)
 	if a != b {
 		t.Fatalf("render not deterministic:\n%s\nvs\n%s", a, b)
 	}
@@ -95,7 +95,7 @@ func TestContentionRenderDeterministic(t *testing.T) {
 }
 
 func TestContentionLedgerBounded(t *testing.T) {
-	l := newContentionLedger()
+	l := NewContentionLedger(nil)
 	for i := 0; i < contCapKeys+50; i++ {
 		l.record(0, "t", "h", strings.Repeat("w", 1+i%3)+string(rune('a'+i%26))+strings.Repeat("x", i/26), LockShared, time.Millisecond, false)
 	}
@@ -115,7 +115,7 @@ func TestContentionLedgerBounded(t *testing.T) {
 }
 
 func TestContentionLedgerSampleRingBounded(t *testing.T) {
-	l := newContentionLedger()
+	l := NewContentionLedger(nil)
 	n := int64(contSampleCap*int(contSampleEvery)*2 + 7)
 	for i := int64(0); i < n; i++ {
 		l.record(time.Duration(i), "t", "h", "w", LockExclusive, time.Millisecond, false)

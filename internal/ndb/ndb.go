@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"hash/fnv"
 
-	"hopsfscl/internal/heat"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 	"hopsfscl/internal/trace"
@@ -127,16 +126,9 @@ type Cluster struct {
 	tracer *trace.Tracer
 	obs    *clusterObs
 
-	// heat attributes per-access table and partition touches to the
-	// deployment's heat collector; nil for deployments without heat
-	// tracking (see SetHeat).
-	heat *heat.Collector
-
-	// ledger records who blocked whom on which table (nil until SetTracer
-	// attaches a registry); activeOps maps in-flight transaction IDs to
-	// the op type that issued them, so the ledger can name both sides of a
-	// wait-for edge.
-	ledger    *ContentionLedger
+	// activeOps maps in-flight transaction IDs to the op type that issued
+	// them (nil until SetTracer attaches a registry), so LockWait events
+	// can name both sides of a wait-for edge.
 	activeOps map[uint64]string
 
 	// Fan-out worker pool and result-mailbox free-lists (workers.go): the
@@ -195,40 +187,8 @@ type clusterObs struct {
 	commitTrains *trace.Counter
 	trainRows    *trace.Timing
 
-	// Contention metrics are registered lazily per table / op pair (the
-	// label space is data-dependent); the maps cache the handles so the
-	// blocking path pays one map hit after the first event.
-	reg        *trace.Registry
-	contBlocks map[string]*trace.Counter
-	contWait   map[string]*trace.Counter
-	contPairs  map[[2]string]*trace.Counter
-}
-
-// contention records one blocking event in the registry: per-table block
-// and wait counters plus a per-(holder, waiter) pair counter.
-func (o *clusterObs) contention(table, holder, waiter string, wait time.Duration) {
-	if o == nil {
-		return
-	}
-	cb := o.contBlocks[table]
-	if cb == nil {
-		cb = o.reg.Counter("ndb.contention.blocks", "table", table)
-		o.contBlocks[table] = cb
-	}
-	cb.Add(1)
-	cw := o.contWait[table]
-	if cw == nil {
-		cw = o.reg.Counter("ndb.contention.wait_ns", "table", table)
-		o.contWait[table] = cw
-	}
-	cw.Add(int64(wait))
-	pk := [2]string{holder, waiter}
-	cp := o.contPairs[pk]
-	if cp == nil {
-		cp = o.reg.Counter("ndb.contention.pairs", "holder", holder, "waiter", waiter)
-		o.contPairs[pk] = cp
-	}
-	cp.Add(1)
+	// reg registers the per-datanode health gauges.
+	reg *trace.Registry
 }
 
 // proximityLabel names a §IV-A4 proximity distance for registry labels.
@@ -244,14 +204,14 @@ func proximityLabel(d int) string {
 }
 
 // SetTracer attaches the cluster to a deployment's tracer: 2PC phases,
-// lock waits and TC selections are recorded in the tracer's registry, and
-// transactions annotate the caller's active span. A nil tracer detaches.
+// lock waits and TC selections are recorded in the tracer's registry,
+// transactions annotate the caller's active span, and row accesses and
+// lock waits are emitted as events. A nil tracer detaches.
 func (c *Cluster) SetTracer(tr *trace.Tracer) {
 	c.tracer = tr
 	reg := tr.Registry()
 	if reg == nil {
 		c.obs = nil
-		c.ledger = nil
 		c.activeOps = nil
 		return
 	}
@@ -263,11 +223,7 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) {
 		commitTrains: reg.Counter("ndb.commit.trains"),
 		trainRows:    reg.Timing("ndb.commit.rows_per_train"),
 		reg:          reg,
-		contBlocks:   make(map[string]*trace.Counter),
-		contWait:     make(map[string]*trace.Counter),
-		contPairs:    make(map[[2]string]*trace.Counter),
 	}
-	c.ledger = newContentionLedger()
 	c.activeOps = make(map[uint64]string)
 	for ph := 0; ph < numPhases; ph++ {
 		obs.phase[ph] = reg.Timing("txn.phase." + phaseNames[ph])
@@ -278,13 +234,6 @@ func (c *Cluster) SetTracer(tr *trace.Tracer) {
 		obs.batchWriteRows[d] = reg.Counter("ndb.batch_write.rows", "prox", proximityLabel(d))
 	}
 	c.obs = obs
-}
-
-// SetHeat attaches a heat collector: every row access attributes one touch
-// to the table and partition it lands on, so sharding decisions can be
-// grounded in observed partition skew. A nil collector detaches.
-func (c *Cluster) SetHeat(h *heat.Collector) {
-	c.heat = h
 }
 
 // Stats holds cluster-wide transaction counters.
@@ -495,10 +444,6 @@ func (c *Cluster) CreateTable(name string, rowSize int, opts TableOptions) *Tabl
 
 // Table returns a table by name, or nil.
 func (c *Cluster) Table(name string) *Table { return c.tables[name] }
-
-// Contention returns the cluster's lock-contention ledger, or nil when no
-// registry-backed tracer is attached.
-func (c *Cluster) Contention() *ContentionLedger { return c.ledger }
 
 // opFor names the op type driving a transaction ID: the root span name
 // recorded at Begin, the process name for untraced internal work, or

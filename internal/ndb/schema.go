@@ -252,29 +252,24 @@ func (l *rowLock) removeWaiter(txn uint64) {
 
 // blockerOf returns the transaction most plausibly blocking txn: the
 // lowest-ID current holder other than txn itself (deterministic despite the
-// holder map), else the queued waiter ahead of it. The second argument is
-// false when nothing is blocking.
-func (l *rowLock) blockerOf(txn uint64) (uint64, bool) {
+// holder map), else the queued waiter ahead of it, else 0 — an ID no
+// transaction has, since IDs count from 1.
+func (l *rowLock) blockerOf(txn uint64) uint64 {
 	var best uint64
-	found := false
 	for h := range l.holders {
-		if h == txn {
-			continue
-		}
-		if !found || h < best {
+		if h != txn && (best == 0 || h < best) {
 			best = h
-			found = true
 		}
 	}
-	if found {
-		return best, true
+	if best != 0 {
+		return best
 	}
 	for _, w := range l.waiters {
 		if w.txn != txn {
-			return w.txn, true
+			return w.txn
 		}
 	}
-	return 0, false
+	return 0
 }
 
 // pump grants waiters at the head of the queue while compatible.

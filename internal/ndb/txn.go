@@ -172,16 +172,14 @@ func domainProximity(origin *simnet.Node, originDomain simnet.ZoneID, dn *DataNo
 // ID returns the transaction id.
 func (t *Txn) ID() uint64 { return t.id }
 
-// Now returns the executing process's current virtual time, so callers can
-// timestamp derived observations (heat touches) without holding the proc.
-func (t *Txn) Now() time.Duration { return t.p.Now() }
-
-// heatTouch attributes one row access to the accessed partition in the
-// cluster's heat collector; a no-op for uninstrumented clusters.
-func (t *Txn) heatTouch(part *Partition) {
-	if t.c.heat != nil {
-		t.c.heat.TouchPartition(t.p.Now(), part.table.name, part.index)
+// access returns the partition of table holding partKey and emits the row
+// access to the tracer's subscribers.
+func (t *Txn) access(table *Table, partKey string) *Partition {
+	part := table.partitionFor(partKey)
+	if tr := t.c.tracer; tr.Subscribed() {
+		tr.Emit(trace.Event{Kind: trace.RowAccess, At: t.p.Now(), Table: table.name, Index: part.index})
 	}
+	return part
 }
 
 // Coordinator returns the datanode coordinating this transaction.
@@ -215,8 +213,7 @@ func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, err
 	}
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
+	part := t.access(table, partKey)
 	reps := part.replicas()
 	if len(reps) == 0 {
 		return nil, false, t.failAbort()
@@ -291,8 +288,7 @@ func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
 	}
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
+	part := t.access(table, partKey)
 	reps := part.replicas()
 	if len(reps) == 0 {
 		return nil, t.failAbort()
@@ -404,8 +400,7 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 	}
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
+	part := t.access(table, partKey)
 	reps := part.replicas()
 	if len(reps) == 0 {
 		return nil, false, t.failAbort()
@@ -444,8 +439,7 @@ func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) erro
 	}
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
-	part := table.partitionFor(partKey)
-	t.heatTouch(part)
+	part := t.access(table, partKey)
 	reps := part.replicas()
 	if len(reps) == 0 {
 		return t.failAbort()
@@ -896,13 +890,11 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	// Contended: park until granted or the deadlock-detection timeout.
 	// The blocker is identified now, while it still holds the lock (by the
 	// time the wait resolves it may have finished and vanished).
+	tr := t.c.tracer
+	observed := tr.Subscribed()
 	var holderOp string
-	if t.c.ledger != nil {
-		if blocker, ok := r.lock.blockerOf(t.id); ok {
-			holderOp = t.c.opFor(blocker)
-		} else {
-			holderOp = "(unknown)"
-		}
+	if observed {
+		holderOp = t.c.opFor(r.lock.blockerOf(t.id)) // "(unknown)" for 0
 	}
 	start := p.Now()
 	ls := p.Span().Child("lock_wait", start)
@@ -911,10 +903,9 @@ func (t *Txn) lockRowOn(p *sim.Proc, part *Partition, pk, key string, mode LockM
 	if obs != nil {
 		obs.lockWait.Observe(wait)
 	}
-	if t.c.ledger != nil {
-		table := part.table.name
-		t.c.ledger.record(p.Now(), table, holderOp, t.c.opFor(t.id), mode, wait, !ok)
-		obs.contention(table, holderOp, t.c.opFor(t.id), wait)
+	if observed {
+		tr.Emit(trace.Event{Kind: trace.LockWait, At: p.Now(), Table: part.table.name, Holder: holderOp,
+			Op: t.c.opFor(t.id), Exclusive: mode == LockExclusive, Dur: wait, Failed: !ok})
 	}
 	if !ok {
 		ls.SetAttr("timeout", "true")

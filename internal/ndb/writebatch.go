@@ -56,8 +56,7 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 	defer t.c.putScratch(sc)
 	parts := sc.partsFor(len(items))
 	groups, ok := groupByTarget(sc, len(items), func(i int) (*DataNode, bool) {
-		part := items[i].Table.partitionFor(items[i].PartKey)
-		t.heatTouch(part)
+		part := t.access(items[i].Table, items[i].PartKey)
 		parts[i] = part
 		reps := part.replicas()
 		if len(reps) == 0 {

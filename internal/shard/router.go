@@ -29,10 +29,8 @@ package shard
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
-	"hopsfscl/internal/heat"
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/trace"
 )
@@ -48,10 +46,9 @@ type Router struct {
 	// until the first Pin, so the routing fast path is one nil check.
 	pins map[string]int
 
-	heat      *heat.Collector
-	shardKeys []string // cached "shard0".. keys for heat touches
-
-	obs *routerObs
+	// tracer receives multi-shard routers' ShardBegin events.
+	tracer *trace.Tracer
+	obs    *routerObs
 
 	// intents[s] is shard s's durable intent table (EnableIntents); nil
 	// for single-shard routers, which never need the cross-shard path.
@@ -95,12 +92,7 @@ func NewRouter(clusters []*ndb.Cluster) (*Router, error) {
 	if len(clusters) == 0 {
 		return nil, fmt.Errorf("shard: router needs at least one cluster")
 	}
-	r := &Router{clusters: clusters, n: len(clusters)}
-	r.shardKeys = make([]string, r.n)
-	for i := range r.shardKeys {
-		r.shardKeys[i] = "shard" + strconv.Itoa(i)
-	}
-	return r, nil
+	return &Router{clusters: clusters, n: len(clusters)}, nil
 }
 
 // Shards returns the shard count.
@@ -113,11 +105,13 @@ func (r *Router) Cluster(s int) *ndb.Cluster { return r.clusters[s] }
 // the slice.
 func (r *Router) Clusters() []*ndb.Cluster { return r.clusters }
 
-// SetTracer registers the router's shard.* metrics.
+// SetTracer registers the router's shard.* metrics and, on multi-shard
+// routers, emits a ShardBegin event per sub-transaction begin.
 func (r *Router) SetTracer(tr *trace.Tracer) {
 	if tr == nil {
 		return
 	}
+	r.tracer = tr
 	reg := tr.Registry()
 	r.obs = &routerObs{
 		local:             reg.Counter("shard.txn.local"),
@@ -130,21 +124,11 @@ func (r *Router) SetTracer(tr *trace.Tracer) {
 	}
 }
 
-// SetHeat attaches the deployment's heat collector: multi-shard routers
-// feed the "shard" key family so balance skew shows up in hotspot reports
-// next to tables and partitions. Single-shard routers leave the family
-// untouched (and unpublished), keeping unsharded heat reports identical.
-func (r *Router) SetHeat(h *heat.Collector) {
-	r.heat = h
-	if h != nil && r.n > 1 {
-		h.EnableShardFamily()
-	}
-}
-
-// touchShard attributes one sub-transaction begin to its shard's heat key.
-func (r *Router) touchShard(now time.Duration, s int) {
-	if r.heat != nil && r.n > 1 {
-		r.heat.TouchShard(now, r.shardKeys[s])
+// began emits a sub-transaction begin on shard s. Single-shard routers
+// emit nothing, keeping unsharded event streams unchanged.
+func (r *Router) began(now time.Duration, s int) {
+	if r.n > 1 && r.tracer.Subscribed() {
+		r.tracer.Emit(trace.Event{Kind: trace.ShardBegin, At: now, Index: s})
 	}
 }
 

@@ -2,7 +2,6 @@ package shard
 
 import (
 	"sort"
-	"time"
 
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/sim"
@@ -40,7 +39,7 @@ func (r *Router) Begin(p *sim.Proc, origin *simnet.Node, domain simnet.ZoneID, h
 	if err != nil {
 		return nil, err
 	}
-	r.touchShard(p.Now(), s)
+	r.began(p.Now(), s)
 	return &Txn{r: r, p: p, origin: origin, domain: domain, single: sub, singleShard: s}, nil
 }
 
@@ -62,12 +61,9 @@ func (t *Txn) subFor(s int, ts *TableSet, pk string) (*ndb.Txn, error) {
 		return nil, err
 	}
 	t.multi[s] = sub
-	t.r.touchShard(t.p.Now(), s)
+	t.r.began(t.p.Now(), s)
 	return sub, nil
 }
-
-// Now returns the executing process's current virtual time.
-func (t *Txn) Now() time.Duration { return t.p.Now() }
 
 // Annotate sets an attribute on the operation's current span.
 func (t *Txn) Annotate(key, value string) {

@@ -20,9 +20,9 @@ type opGauges struct {
 // folds registered component probes into the cluster health model. All
 // state transitions append to a deterministic event log on virtual time.
 //
-// ObserveOp is safe for concurrent use (it is called from every finishing
-// root span); Tick and RegisterComponent are expected from the single
-// evaluation process.
+// OnEvent is safe for concurrent use (the tracer calls it for every
+// finishing root span); Tick and RegisterComponent are expected from the
+// single evaluation process.
 type Engine struct {
 	spec   Spec
 	reg    *trace.Registry
@@ -57,24 +57,24 @@ func NewEngine(spec Spec, reg *trace.Registry) *Engine {
 // Spec returns the engine's effective (defaulted) spec.
 func (e *Engine) Spec() Spec { return e.spec }
 
-// ObserveOp records one operation completion: op class, the virtual end
-// instant, end-to-end latency, and whether it failed. Nil engines ignore
-// the call so callers can wire the hook unconditionally.
-func (e *Engine) ObserveOp(op string, now, latency time.Duration, failed bool) {
-	if e == nil {
+// OnEvent is the engine's trace.Subscriber: it records every OpFinish —
+// op class, the virtual end instant, end-to-end latency, and whether it
+// failed — and ignores other kinds and nil engines.
+func (e *Engine) OnEvent(ev trace.Event) {
+	if e == nil || ev.Kind != trace.OpFinish {
 		return
 	}
 	e.mu.Lock()
-	sk := e.sketch[op]
+	sk := e.sketch[ev.Op]
 	if sk == nil {
 		sk = NewSketch(e.spec.Window, e.spec.Slots)
-		e.sketch[op] = sk
-		e.ops = append(e.ops, op)
+		e.sketch[ev.Op] = sk
+		e.ops = append(e.ops, ev.Op)
 		sort.Strings(e.ops)
 	}
 	e.mu.Unlock()
-	sk.Observe(now, latency, failed)
-	e.all.Observe(now, latency, failed)
+	sk.Observe(ev.At, ev.Dur, ev.Failed)
+	e.all.Observe(ev.At, ev.Dur, ev.Failed)
 }
 
 // RegisterComponent adds a health probe evaluated on every tick. Component

@@ -9,6 +9,11 @@ import (
 	"hopsfscl/internal/trace"
 )
 
+// observe feeds eng one finished operation, as the tracer would.
+func observe(eng *Engine, op string, end, lat time.Duration, failed bool) {
+	eng.OnEvent(trace.Event{Kind: trace.OpFinish, Op: op, At: end, Dur: lat, Failed: failed})
+}
+
 // driveEngine feeds a seeded synthetic workload with a mid-run error storm
 // and latency regression into an engine, ticking every 250ms for 20s, and
 // returns the rendered event log.
@@ -35,7 +40,7 @@ func driveEngine(seed int64) string {
 			lat = 50 * time.Millisecond
 			failed = rng.Intn(4) == 0
 		}
-		eng.ObserveOp("stat", now, lat, failed)
+		observe(eng, "stat", now, lat, failed)
 		if ms%250 == 0 {
 			events = append(events, eng.Tick(now)...)
 		}
@@ -71,7 +76,7 @@ func TestEngineTickPublishesGauges(t *testing.T) {
 	reg := trace.NewRegistry()
 	eng := NewEngine(Spec{}, reg)
 	for ms := 0; ms <= 1_000; ms += 10 {
-		eng.ObserveOp("stat", time.Duration(ms)*time.Millisecond, 2*time.Millisecond, false)
+		observe(eng, "stat", time.Duration(ms)*time.Millisecond, 2*time.Millisecond, false)
 	}
 	eng.Tick(time.Second)
 	snap := reg.Snapshot()
@@ -90,8 +95,8 @@ func TestEngineReport(t *testing.T) {
 	eng.RegisterComponent("ndb", func(time.Duration) ComponentStats {
 		return ComponentStats{Live: 0, Expected: 6, Quorum: 4}
 	})
-	eng.ObserveOp("stat", time.Second, time.Millisecond, false)
-	eng.ObserveOp("create", time.Second, 5*time.Millisecond, true)
+	observe(eng, "stat", time.Second, time.Millisecond, false)
+	observe(eng, "create", time.Second, 5*time.Millisecond, true)
 	eng.Tick(time.Second)
 
 	rep := eng.Report(time.Second)
@@ -124,7 +129,7 @@ func TestEngineReport(t *testing.T) {
 
 func TestNilEngineIsSafe(t *testing.T) {
 	var eng *Engine
-	eng.ObserveOp("stat", 0, time.Millisecond, false)
+	observe(eng, "stat", 0, time.Millisecond, false)
 	eng.RegisterComponent("x", nil)
 	if ev := eng.Tick(time.Second); ev != nil {
 		t.Fatal("nil engine ticked")
@@ -153,7 +158,7 @@ func TestEngineWithDisabledRegistry(t *testing.T) {
 			lat = 200 * time.Millisecond
 			failed = true
 		}
-		eng.ObserveOp("stat", now, lat, failed)
+		observe(eng, "stat", now, lat, failed)
 		if ms%250 == 0 {
 			eng.Tick(now)
 		}
@@ -179,7 +184,7 @@ func TestEngineWithDisabledRegistry(t *testing.T) {
 func TestEngineDisableMidRun(t *testing.T) {
 	reg := trace.NewRegistry()
 	eng := NewEngine(Spec{}, reg)
-	eng.ObserveOp("stat", 0, 2*time.Millisecond, false)
+	observe(eng, "stat", 0, 2*time.Millisecond, false)
 	eng.Tick(250 * time.Millisecond)
 	if _, ok := trace.Lookup(reg.Snapshot(), "slo.op.stat.p99_ms"); !ok {
 		t.Fatal("stat gauge missing before Disable")
@@ -187,8 +192,8 @@ func TestEngineDisableMidRun(t *testing.T) {
 	reg.Disable()
 	for ms := 250; ms <= 1_500; ms += 10 {
 		now := time.Duration(ms) * time.Millisecond
-		eng.ObserveOp("stat", now, 30*time.Millisecond, false)
-		eng.ObserveOp("create", now, time.Millisecond, false)
+		observe(eng, "stat", now, 30*time.Millisecond, false)
+		observe(eng, "create", now, time.Millisecond, false)
 	}
 	eng.Tick(1_500 * time.Millisecond)
 	snap := reg.Snapshot()

@@ -79,7 +79,7 @@ func (c ExemplarConfig) withDefaults() ExemplarConfig {
 }
 
 // Exemplars is a bounded deterministic store of outlier span trees,
-// installed as the tracer's span observer. It pins ops that breach their
+// subscribed to the tracer's SpanTree events. It pins ops that breach their
 // latency objective, ops that complete while a burn alert is firing, and
 // the slowest op of every capture window — the retrieval half of
 // tail-based sampling: aggregates say that p99 degraded, exemplars say
@@ -91,7 +91,7 @@ type Exemplars struct {
 	targets  map[string]time.Duration
 	fallback time.Duration
 
-	mu   sync.Mutex
+	mu sync.Mutex
 	// perOp holds each class's pinned exemplars, ordered best-first by
 	// (latency desc, At asc, ID asc).
 	perOp map[string][]*Exemplar
@@ -131,10 +131,11 @@ func (x *Exemplars) target(op string) time.Duration {
 	return x.fallback
 }
 
-// Observe judges one finished detailed root span; it is the store's
-// trace.SpanObserver. Nil stores and non-root spans are ignored.
-func (x *Exemplars) Observe(root *trace.Span) {
-	if x == nil || root == nil {
+// OnEvent is the store's trace.Subscriber: it judges every finished
+// detailed root span (SpanTree) and ignores other kinds and nil stores.
+func (x *Exemplars) OnEvent(ev trace.Event) {
+	root := ev.Span
+	if x == nil || ev.Kind != trace.SpanTree || root == nil {
 		return
 	}
 	lat := root.End - root.Start

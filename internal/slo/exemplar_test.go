@@ -8,8 +8,8 @@ import (
 	"hopsfscl/internal/trace"
 )
 
-func span(id uint64, op string, start, end time.Duration) *trace.Span {
-	return &trace.Span{ID: trace.SpanID(id), Name: op, Start: start, End: end}
+func span(id uint64, op string, start, end time.Duration) trace.Event {
+	return trace.Event{Kind: trace.SpanTree, Span: &trace.Span{ID: trace.SpanID(id), Name: op, Start: start, End: end}}
 }
 
 func exemplarEngine() *Engine {
@@ -23,10 +23,10 @@ func exemplarEngine() *Engine {
 
 func TestExemplarsPinBreaches(t *testing.T) {
 	x := NewExemplars(exemplarEngine(), ExemplarConfig{})
-	x.Observe(span(1, "stat", 0, 20*time.Millisecond))           // breach: 20ms > 10ms
-	x.Observe(span(2, "stat", 0, 5*time.Millisecond))            // within objective
-	x.Observe(span(3, "mkdir", 0, 100*time.Millisecond))         // breach via "*" fallback
-	x.Observe(span(4, "read", time.Second, 1001*time.Millisecond)) // fast, new window
+	x.OnEvent(span(1, "stat", 0, 20*time.Millisecond))             // breach: 20ms > 10ms
+	x.OnEvent(span(2, "stat", 0, 5*time.Millisecond))              // within objective
+	x.OnEvent(span(3, "mkdir", 0, 100*time.Millisecond))           // breach via "*" fallback
+	x.OnEvent(span(4, "read", time.Second, 1001*time.Millisecond)) // fast, new window
 
 	rep := x.Report(2 * time.Second)
 	c := rep.Class("stat")
@@ -51,11 +51,11 @@ func TestExemplarsPinBreaches(t *testing.T) {
 func TestExemplarsWindowSlowest(t *testing.T) {
 	// No engine: no objectives, only window-slowest pinning.
 	x := NewExemplars(nil, ExemplarConfig{Window: time.Second})
-	x.Observe(span(1, "stat", 0, 3*time.Millisecond))
-	x.Observe(span(2, "stat", 0, 9*time.Millisecond)) // window 0's slowest
-	x.Observe(span(3, "stat", 0, 4*time.Millisecond))
+	x.OnEvent(span(1, "stat", 0, 3*time.Millisecond))
+	x.OnEvent(span(2, "stat", 0, 9*time.Millisecond)) // window 0's slowest
+	x.OnEvent(span(3, "stat", 0, 4*time.Millisecond))
 	// Crossing into window 1 commits window 0.
-	x.Observe(span(4, "stat", time.Second, 1005*time.Millisecond))
+	x.OnEvent(span(4, "stat", time.Second, 1005*time.Millisecond))
 
 	rep := x.Report(2 * time.Second)
 	c := rep.Class("stat")
@@ -73,10 +73,10 @@ func TestExemplarsWindowSlowest(t *testing.T) {
 
 func TestExemplarsBoundAndOrder(t *testing.T) {
 	x := NewExemplars(exemplarEngine(), ExemplarConfig{PerOp: 2})
-	x.Observe(span(1, "stat", 0, 20*time.Millisecond))
-	x.Observe(span(2, "stat", 0, 40*time.Millisecond))
-	x.Observe(span(3, "stat", 0, 30*time.Millisecond))
-	x.Observe(span(4, "stat", 0, 15*time.Millisecond))
+	x.OnEvent(span(1, "stat", 0, 20*time.Millisecond))
+	x.OnEvent(span(2, "stat", 0, 40*time.Millisecond))
+	x.OnEvent(span(3, "stat", 0, 30*time.Millisecond))
+	x.OnEvent(span(4, "stat", 0, 15*time.Millisecond))
 
 	rep := x.Report(time.Second)
 	c := rep.Class("stat")
@@ -106,7 +106,7 @@ func TestExemplarsBurnFiring(t *testing.T) {
 
 	// 5s of 20% failures lights the burn alert.
 	for ms := 0; ms <= 5_000; ms += 10 {
-		eng.ObserveOp("stat", time.Duration(ms)*time.Millisecond, time.Millisecond, ms%50 == 0)
+		observe(eng, "stat", time.Duration(ms)*time.Millisecond, time.Millisecond, ms%50 == 0)
 	}
 	eng.Tick(5 * time.Second)
 	if eng.Firing() == 0 {
@@ -115,7 +115,7 @@ func TestExemplarsBurnFiring(t *testing.T) {
 
 	// A fast op completing during the burn is pinned with ReasonBurn even
 	// though it breached nothing.
-	x.Observe(span(9, "stat", 5*time.Second, 5001*time.Millisecond))
+	x.OnEvent(span(9, "stat", 5*time.Second, 5001*time.Millisecond))
 	rep := x.Report(6 * time.Second)
 	c := rep.Class("stat")
 	if c == nil || len(c.Exemplars) == 0 || c.Exemplars[0].Reason&ReasonBurn == 0 {
@@ -130,7 +130,7 @@ func TestExemplarsDeterministicRender(t *testing.T) {
 			end := time.Duration(i*37) * time.Millisecond
 			lat := time.Duration(1+i%25) * time.Millisecond
 			op := []string{"stat", "read", "create"}[i%3]
-			x.Observe(span(uint64(i+1), op, end-lat, end))
+			x.OnEvent(span(uint64(i+1), op, end-lat, end))
 		}
 		return x.Report(2 * time.Second).Render()
 	}

@@ -63,7 +63,7 @@ type Span struct {
 	// Benign marks an error as an expected application outcome (a stat of
 	// an absent path, a create of an existing one). Benign errors still
 	// count in op.<name>.errors but are not availability failures: the
-	// operation observer reports them as successes, the way an HTTP SLO
+	// OpFinish event reports them as successes, the way an HTTP SLO
 	// counts 5xx but not 4xx against the error budget.
 	Benign bool
 
@@ -177,7 +177,8 @@ func (s *Span) OpName() string {
 
 // Finish closes the span. Finishing a root span flushes its aggregates
 // (latency, error, per-class hop bytes) into the registry under
-// op.<name>.* and, in detailed mode, retains the tree in the sink.
+// op.<name>.*, emits OpFinish and, in detailed mode, emits SpanTree and
+// retains the tree in the sink.
 func (s *Span) Finish(now time.Duration) {
 	if s == nil {
 		return
@@ -195,18 +196,14 @@ func (s *Span) Finish(now time.Duration) {
 	if s.Err {
 		st.errs.Add(1)
 	}
-	if obs := t.obs.Load(); obs != nil {
-		(*obs)(s.Name, s.End, s.End-s.Start, s.Err && !s.Benign)
-	}
+	t.Emit(Event{Kind: OpFinish, At: s.End, Op: s.Name, Dur: s.End - s.Start, Failed: s.Err && !s.Benign})
 	for c := HopClass(0); c < NumHopClasses; c++ {
 		if s.HopBytes[c] != 0 {
 			st.hopBytes[c].Add(s.HopBytes[c])
 		}
 	}
 	if s.detailed {
-		if so := t.spanObs.Load(); so != nil {
-			(*so)(s)
-		}
+		t.Emit(Event{Kind: SpanTree, At: s.End, Op: s.Name, Span: s})
 		if sink := t.Sink(); sink != nil {
 			sink.Add(s)
 		}
@@ -222,59 +219,17 @@ type opStats struct {
 }
 
 // Tracer creates spans and routes finished root spans to the registry and
-// (when enabled) the sink. A nil Tracer is valid and inert. The sink
-// pointer and span-ID sequence are lock-free: StartOp sits on the hot path
-// of every client operation.
+// (when enabled) the sink, and fans every emitted Event out to its
+// subscribers. A nil Tracer is valid and inert. The sink pointer, the
+// subscriber list and the span-ID sequence are lock-free: StartOp and Emit
+// sit on the hot path of every client operation.
 type Tracer struct {
-	reg     *Registry
-	sink    atomic.Pointer[Sink]
-	obs     atomic.Pointer[OpObserver]
-	spanObs atomic.Pointer[SpanObserver]
-	seq     atomic.Uint64
-	mu      sync.Mutex // guards ops
-	ops     map[string]*opStats
-}
-
-// OpObserver receives every finished root operation: op name, the virtual
-// end instant, end-to-end latency, and whether the operation failed.
-// Benign errors (expected application outcomes, see Span.SetBenign)
-// report failed=false. The SLO engine uses this to feed its windowed
-// sketches without the tracer depending on it.
-type OpObserver func(op string, end, latency time.Duration, failed bool)
-
-// SetOpObserver installs (or, with nil, removes) the tracer's operation
-// observer. When unset, finishing a span costs one atomic load beyond the
-// existing aggregate flush. The observer must be safe for concurrent calls.
-func (t *Tracer) SetOpObserver(obs OpObserver) {
-	if t == nil {
-		return
-	}
-	if obs == nil {
-		t.obs.Store(nil)
-		return
-	}
-	t.obs.Store(&obs)
-}
-
-// SpanObserver receives every finished detailed root span, after its
-// aggregates flush and before the sink retains it. The span tree is
-// complete and must be treated as immutable. Detailed mode exists only
-// while a sink is enabled, so the observer never fires in aggregate mode.
-// The exemplar store uses this to pin outlier traces without the tracer
-// depending on it.
-type SpanObserver func(root *Span)
-
-// SetSpanObserver installs (or, with nil, removes) the tracer's span
-// observer. The observer must be safe for concurrent calls.
-func (t *Tracer) SetSpanObserver(obs SpanObserver) {
-	if t == nil {
-		return
-	}
-	if obs == nil {
-		t.spanObs.Store(nil)
-		return
-	}
-	t.spanObs.Store(&obs)
+	reg  *Registry
+	sink atomic.Pointer[Sink]
+	subs atomic.Pointer[[]*Subscriber]
+	seq  atomic.Uint64
+	mu   sync.Mutex // guards ops, and serializes subscriber list edits
+	ops  map[string]*opStats
 }
 
 // NewTracer returns a tracer feeding aggregates into reg (which may be nil
@@ -314,7 +269,7 @@ func (t *Tracer) Sink() *Sink {
 }
 
 // off reports whether span creation can be skipped entirely: the registry
-// is absent or disabled, no sink retains trees, and no observer consumes
+// is absent or disabled, no sink retains trees, and no subscriber consumes
 // finished operations. A span started in this state would flush into
 // nil handles and then be discarded, so StartOp hands back a nil span
 // instead and every downstream call (Child, SetAttr, RecordHop, Finish)
@@ -322,7 +277,7 @@ func (t *Tracer) Sink() *Sink {
 // Registry.Disable fast path.
 func (t *Tracer) off() bool {
 	return (t.reg == nil || t.reg.disabled.Load()) &&
-		t.sink.Load() == nil && t.obs.Load() == nil
+		t.sink.Load() == nil && t.subs.Load() == nil
 }
 
 // StartOp opens a root span for one client operation. Returns nil on a nil
