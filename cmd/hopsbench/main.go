@@ -9,42 +9,43 @@
 //	hopsbench all
 //
 // Experiments: table1 table2 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-// fig13 fig14 pathdepth writefan failures chaos autoscale ablations
-// phases kernel hotspot shardsweep. "chaos" runs the seeded random
-// fault-campaign sweep
+// fig13 fig14 pathdepth writefan failures chaos autoscale ablations phases
+// hotspot shardsweep. "chaos" runs the seeded random fault-campaign sweep
 // (deterministic per seed) with cross-layer invariant auditing; "failures"
 // runs the §V-F scripted drills on the same engine; "pathdepth" measures
-// stat latency vs path depth with optimistic batched resolution against
-// the serial per-component walk; "writefan" measures multi-row
+// stat latency vs path depth with optimistic batched resolution against the
+// serial per-component walk; "writefan" measures multi-row
 // write-transaction latency and wire footprint against rows per
 // transaction, with the batched write path and node-group-coalesced commit
 // trains (ndb.batch_write.* and ndb.commit.trains /
 // ndb.commit.rows_per_train counters) against the serial one-chain-per-row
 // protocol, including a where-the-time-went critical-path table per point;
-// "autoscale" drives a compressed diurnal week against the elastic
-// metadata tier (online commission/drain under the autoscale controller,
-// audited at every transition) and against static-min and static-peak
-// provisioning, checking the acceptance inequalities inline; "kernel" is
-// the bench of the bench — it measures the simulation engine itself
-// (per-primitive wall cost and steady-state allocations, plus the engine
-// overhead of one full grid point in wall-ns per virtual millisecond and
-// allocations per virtual op), the numbers whose regression gate lives in
-// the CI kernel job and whose trajectory is recorded in BENCH_8.json;
-// "hotspot" drives a planted skewed workload with the namespace heat
-// sketches and tail-based exemplar capture enabled, checks that the
-// planted subtrees rank first at every depth and that every p99-breaching
-// op class pinned a breach exemplar, and renders the slowest exemplar
-// through the critical-path profiler; "shardsweep" holds the offered load
-// fixed and sweeps the number of independent NDB clusters the namespace
-// is hash-sharded across (Options.Shards), checking the 1.8x
-// 4-vs-1-shard scaling floor inline and reporting the cross-shard rename
-// path (ordered two-cluster commits with durable intents) separately
-// from the shard-local fast path — the run recorded in BENCH_10.json.
+// "autoscale" drives a compressed diurnal week against the elastic metadata
+// tier (online commission/drain under the autoscale controller, audited at
+// every transition) and against static-min and static-peak provisioning,
+// checking the acceptance inequalities inline; "hotspot" drives a planted
+// skewed workload with the namespace heat sketches and tail-based exemplar
+// capture enabled, checks that the planted subtrees rank first at every
+// depth and that every p99-breaching op class pinned a breach exemplar, and
+// renders the slowest exemplar through the critical-path profiler;
+// "shardsweep" holds the offered load fixed and sweeps the number of
+// independent NDB clusters the namespace is hash-sharded across
+// (Options.Shards), checking the 1.8x 4-vs-1-shard scaling floor inline and
+// reporting the cross-shard rename path (ordered two-cluster commits with
+// durable intents) separately from the shard-local fast path — the run
+// recorded in BENCH_10.json.
 //
 // When any measured window evicted spans from the profiling ring, a
 // per-cell "spans dropped from the profiling sink" warning is printed to
 // stderr (the count is also in the JSON report as sink_dropped): profiler
 // attribution and exemplars then cover only a suffix of the run.
+//
+// hopsbench measures the simulated system. The simulation engine's own
+// cost (per-primitive wall ns and allocations, grid-point wall ns per
+// virtual ms and allocations per virtual op) is measured by the Go
+// benchmarks (go test -bench . ./internal/sim ./internal/simnet
+// ./internal/bench) and by the perfbench module's sim.* and simnet.send_*
+// per-layer metrics.
 //
 // Flags:
 //
@@ -134,4 +135,5 @@ func usage() {
 		fmt.Printf("  %-9s %s\n", e.ID, e.Title)
 	}
 	fmt.Println("\nusage: hopsbench [-full] [-seed N] [-clients N] [-json FILE] <experiment>... | all | list")
+	fmt.Println("engine cost: go test -bench . ./internal/sim ./internal/simnet ./internal/bench, or bash perfbench/run.sh")
 }

@@ -256,15 +256,8 @@ func runReplay(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	setup, ok := core.SetupByName(*setupName)
-	if !ok {
-		return fmt.Errorf("unknown setup %q", *setupName)
-	}
-	opts := core.DefaultOptions(setup)
-	opts.MetadataServers = *servers
-	opts.ClientsPerServer = 1 // replay is sequential per client below
-	opts.Seed = *seed
-	d, err := core.Build(opts)
+	// One replay client: the trace runs sequentially.
+	d, err := buildReplayDeployment(*setupName, *seed, *servers, 1, 0)
 	if err != nil {
 		return err
 	}
@@ -273,31 +266,12 @@ func runReplay(args []string, stdout io.Writer) error {
 	if *withTrace {
 		sink = d.EnableTracing(len(trace))
 	}
-
-	var (
-		errs    int
-		elapsed time.Duration
-	)
-	done := false
-	d.Env.Spawn("replay", func(p *sim.Proc) {
-		t0 := p.Now()
-		errs = workload.Replay(p, d.Clients[0], trace)
-		p.Flush()
-		elapsed = p.Now() - t0
-		done = true
-	})
-	for !done && d.Env.Now() < *deadline {
-		step := 100 * time.Millisecond
-		if rem := *deadline - d.Env.Now(); rem < step {
-			step = rem
-		}
-		d.Env.RunFor(step)
-	}
-	if !done {
-		return fmt.Errorf("replay did not complete within -deadline %v of virtual time", *deadline)
+	elapsed, errs, err := replayConcurrent(d, trace, 1, *deadline)
+	if err != nil {
+		return err
 	}
 	rate := float64(len(trace)) / elapsed.Seconds()
-	fmt.Fprintf(stdout, "replayed %d operations on %s in %v (virtual)\n", len(trace), setup.Name, elapsed.Round(time.Millisecond))
+	fmt.Fprintf(stdout, "replayed %d operations on %s in %v (virtual)\n", len(trace), d.Setup.Name, elapsed.Round(time.Millisecond))
 	fmt.Fprintf(stdout, "sequential throughput: %s ops/s   errors: %d\n", metrics.FormatOps(rate), errs)
 	fmt.Fprintf(stdout, "cross-AZ traffic: %.2f MB\n", float64(d.Net.CrossZoneBytes())/1e6)
 	// Mirror hopsbench: note the bench package is the place for load tests.

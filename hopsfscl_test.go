@@ -166,10 +166,10 @@ func TestSetupsAndExperimentsListed(t *testing.T) {
 		t.Fatalf("setups = %d, want 9", got)
 	}
 	ids := ExperimentIDs()
-	if len(ids) != 22 {
-		t.Fatalf("experiments = %d, want 22", len(ids))
+	if len(ids) != 21 {
+		t.Fatalf("experiments = %d, want 21", len(ids))
 	}
-	want := map[string]bool{"table1": true, "table2": true, "fig5": true, "fig14": true, "failures": true, "chaos": true, "phases": true, "writefan": true, "autoscale": true, "kernel": true, "hotspot": true, "shardsweep": true}
+	want := map[string]bool{"table1": true, "table2": true, "fig5": true, "fig14": true, "failures": true, "chaos": true, "phases": true, "writefan": true, "autoscale": true, "hotspot": true, "shardsweep": true}
 	for _, id := range ids {
 		delete(want, id)
 	}

@@ -92,7 +92,6 @@ var Experiments = []Experiment{
 	{ID: "ablations", Title: "Design-choice ablations: Read Backup, batching, block backend", Run: Ablations},
 	{ID: "phases", Title: "Trace registry: 2PC phase latency and cross-AZ bytes per operation", Run: Phases},
 	{ID: "autoscale", Title: "Elastic tier: autoscaled NNs vs static provisioning under diurnal load", Run: Autoscale},
-	{ID: "kernel", Title: "Bench of the bench: simulation-engine primitive costs and grid-point overhead", Run: Kernel},
 	{ID: "hotspot", Title: "Namespace heat maps and tail exemplars under a planted skewed workload", Run: Hotspot},
 	{ID: "shardsweep", Title: "Namespace sharding: throughput vs shard count at fixed offered load", Run: ShardSweep},
 }

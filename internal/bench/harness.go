@@ -179,7 +179,7 @@ const ClientAffinity = 0.95
 // processes keep their state, so build a fresh deployment per Run.
 func Run(d *core.Deployment, cfg RunConfig) *Result {
 	env := d.Env
-	hist := metrics.NewHistogram(32<<10, cfg.Seed)
+	hist := metrics.NewHistogram()
 
 	var (
 		measuring bool

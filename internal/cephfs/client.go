@@ -22,11 +22,8 @@ type Client struct {
 
 	cache map[string]bool
 
-	// Ops counts completed operations; CacheHits the ones served from the
-	// kernel cache; LatencySum feeds average-latency reporting.
-	Ops        int64
-	CacheHits  int64
-	LatencySum time.Duration
+	// CacheHits counts operations served from the kernel cache.
+	CacheHits int64
 }
 
 // NewClient registers a kernel client in the given zone.
@@ -46,9 +43,7 @@ func (cl *Client) cached(p *sim.Proc, key string) bool {
 		return false
 	}
 	p.Sleep(cl.c.cfg.Costs.ClientCacheHit)
-	cl.Ops++
 	cl.CacheHits++
-	cl.LatencySum += cl.c.cfg.Costs.ClientCacheHit
 	return true
 }
 
@@ -66,7 +61,6 @@ const (
 
 // mdsOp runs one request on the subtree's MDS under its global lock.
 func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey string, apply func() error) error {
-	start := p.Now()
 	m := cl.c.owner(comps)
 	if m == nil {
 		return ErrDown
@@ -111,8 +105,6 @@ func (cl *Client) mdsOp(p *sim.Proc, comps []string, kind mutKind, cacheKey stri
 	if !cl.c.net.Travel(p, m.Node, cl.Node, rpcRespSize, 5*time.Second) {
 		return ErrDown
 	}
-	cl.Ops++
-	cl.LatencySum += p.Now() - start
 	return err
 }
 

@@ -199,12 +199,9 @@ type Deployment struct {
 	Exemplars *slo.Exemplars
 
 	hostSeq int
-	// flightStop asks the flight-recorder ticker to exit at its next tick
-	// (see EnableFlightRecorder / StopBackground); sloStop and heatStop do
-	// the same for the SLO evaluation and heat-publisher tickers.
-	flightStop bool
-	sloStop    bool
-	heatStop   bool
+	// stopped asks every background ticker (see every) to exit at its
+	// next tick; StopBackground sets it.
+	stopped bool
 }
 
 // zoneSet returns the zones this deployment spans. Single-AZ deployments
@@ -451,16 +448,22 @@ func (d *Deployment) EnableFlightRecorder(interval time.Duration, capacity int, 
 	}
 	fr := trace.NewFlightRecorder(d.Registry, interval, capacity)
 	fr.Keep(keep...)
-	d.Env.Spawn("flight-recorder", func(p *sim.Proc) {
-		for !d.flightStop {
+	d.every("flight-recorder", interval, fr.Record)
+	return fr
+}
+
+// every spawns a background process named name that calls fn with the
+// virtual time every interval until StopBackground.
+func (d *Deployment) every(name string, interval time.Duration, fn func(now time.Duration)) {
+	d.Env.Spawn(name, func(p *sim.Proc) {
+		for !d.stopped {
 			p.Sleep(interval)
-			if d.flightStop {
+			if d.stopped {
 				return
 			}
-			fr.Record(p.Now())
+			fn(p.Now())
 		}
 	})
-	return fr
 }
 
 // EnableSLO starts the live SLO engine: every finishing root operation
@@ -514,16 +517,7 @@ func (d *Deployment) EnableSLO(spec slo.Spec) *slo.Engine {
 			return slo.ComponentStats{Live: live, Expected: expected, Quorum: 1, Pressure: float64(under)}
 		})
 	}
-	tick := eng.Spec().Tick
-	d.Env.Spawn("slo-engine", func(p *sim.Proc) {
-		for !d.sloStop {
-			p.Sleep(tick)
-			if d.sloStop {
-				return
-			}
-			eng.Tick(p.Now())
-		}
-	})
+	d.every("slo-engine", eng.Spec().Tick, func(now time.Duration) { eng.Tick(now) })
 	return eng
 }
 
@@ -543,16 +537,7 @@ func (d *Deployment) EnableHeat(cfg heat.Config) *heat.Collector {
 		h.EnableShardFamily(d.Router.Shards())
 	}
 	d.Tracer.Subscribe(h.OnEvent)
-	every := h.Config().PublishEvery
-	d.Env.Spawn("heat-publisher", func(p *sim.Proc) {
-		for !d.heatStop {
-			p.Sleep(every)
-			if d.heatStop {
-				return
-			}
-			h.Publish(p.Now())
-		}
-	})
+	d.every("heat-publisher", h.Config().PublishEvery, h.Publish)
 	return h
 }
 
@@ -571,9 +556,7 @@ func (d *Deployment) EnableExemplars(cfg slo.ExemplarConfig) *slo.Exemplars {
 
 // StopBackground halts housekeeping processes so Env.Run can quiesce.
 func (d *Deployment) StopBackground() {
-	d.flightStop = true
-	d.sloStop = true
-	d.heatStop = true
+	d.stopped = true
 	for _, c := range d.MetaClusters() {
 		c.StopBackground()
 	}

@@ -1,95 +1,72 @@
 // Package metrics provides the measurement plumbing for the experiment
-// harness: latency histograms with percentile queries, windowed resource
-// utilization from the simulation kernel's busy-time integrals, and byte
-// counter snapshots.
+// harness: exact latency histograms (every sample kept, nearest-rank
+// percentiles), windowed resource utilization from the simulation
+// kernel's busy-time integrals, and rate and table formatting.
 package metrics
 
 import (
 	"fmt"
 	"math"
-	"math/rand"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"hopsfscl/internal/sim"
 )
 
-// Histogram collects latency samples with deterministic reservoir sampling
-// so memory stays bounded for arbitrarily long runs.
+// Histogram collects latency samples exactly: every observation is kept,
+// so percentiles are exact nearest-rank over the whole window. Measurement
+// windows are bounded, and a sample costs 8 bytes.
 type Histogram struct {
 	samples []time.Duration
-	count   int64
 	sum     time.Duration
 	max     time.Duration
-	cap     int
-	seed    int64
-	rng     *rand.Rand
 
-	// sorted caches the sorted view for repeated percentile queries
-	// (harnesses ask for p50/p90/p99 back to back); Observe invalidates it.
-	sorted      []time.Duration
-	sortedValid bool
+	// sorted reports that samples is in ascending order. Percentile sorts
+	// in place once for repeated queries (harnesses ask for p50/p90/p99
+	// back to back); Observe clears it.
+	sorted bool
 }
 
-// NewHistogram returns a histogram keeping at most capSamples samples
-// (reservoir-sampled beyond that). A zero capSamples defaults to 64k.
-func NewHistogram(capSamples int, seed int64) *Histogram {
-	if capSamples <= 0 {
-		capSamples = 64 << 10
-	}
-	return &Histogram{
-		cap:  capSamples,
-		seed: seed,
-		rng:  rand.New(rand.NewSource(seed)),
-	}
-}
+// NewHistogram returns an empty histogram.
+func NewHistogram() *Histogram { return &Histogram{} }
 
 // Observe records one sample.
 func (h *Histogram) Observe(d time.Duration) {
-	h.count++
+	h.samples = append(h.samples, d)
 	h.sum += d
-	h.sortedValid = false
+	h.sorted = false
 	if d > h.max {
 		h.max = d
-	}
-	if len(h.samples) < h.cap {
-		h.samples = append(h.samples, d)
-		return
-	}
-	// Vitter's algorithm R.
-	if idx := h.rng.Int63n(h.count); idx < int64(h.cap) {
-		h.samples[idx] = d
 	}
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count }
+func (h *Histogram) Count() int64 { return int64(len(h.samples)) }
 
 // Mean returns the average of all observations.
 func (h *Histogram) Mean() time.Duration {
-	if h.count == 0 {
+	if len(h.samples) == 0 {
 		return 0
 	}
-	return h.sum / time.Duration(h.count)
+	return h.sum / time.Duration(len(h.samples))
 }
 
 // Max returns the largest observation.
 func (h *Histogram) Max() time.Duration { return h.max }
 
-// Percentile returns the q-quantile (0 < q <= 1) from the retained sample.
+// Percentile returns the q-quantile (0 < q <= 1) of all observations.
 func (h *Histogram) Percentile(q float64) time.Duration {
 	if len(h.samples) == 0 {
 		return 0
 	}
-	if !h.sortedValid {
-		h.sorted = append(h.sorted[:0], h.samples...)
-		sort.Slice(h.sorted, func(i, j int) bool { return h.sorted[i] < h.sorted[j] })
-		h.sortedValid = true
+	if !h.sorted {
+		slices.Sort(h.samples)
+		h.sorted = true
 	}
-	s := h.sorted
+	s := h.samples
 	// Ceiling nearest-rank: the smallest sample with at least a q fraction
-	// of the sample at or below it. Truncating here biases small-sample
+	// of the samples at or below it. Truncating here biases small-sample
 	// tails low (p99 of 10 samples would return the 9th value, not the
 	// 10th).
 	idx := int(math.Ceil(q*float64(len(s)))) - 1
@@ -100,18 +77,6 @@ func (h *Histogram) Percentile(q float64) time.Duration {
 		idx = len(s) - 1
 	}
 	return s[idx]
-}
-
-// Reset clears all state, including the sampling RNG: a reset histogram
-// behaves identically to a freshly constructed one, so reset-and-reuse
-// runs stay reproducible.
-func (h *Histogram) Reset() {
-	h.samples = h.samples[:0]
-	h.count = 0
-	h.sum = 0
-	h.max = 0
-	h.sortedValid = false
-	h.rng = rand.New(rand.NewSource(h.seed))
 }
 
 // UtilWindow measures average utilization of a set of resources over a

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,7 +11,7 @@ import (
 )
 
 func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(1000, 1)
+	h := NewHistogram()
 	for i := 1; i <= 100; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -28,33 +29,6 @@ func TestHistogramBasics(t *testing.T) {
 	}
 	if h.Max() != 100*time.Millisecond {
 		t.Fatalf("max = %v", h.Max())
-	}
-}
-
-func TestHistogramReservoirBoundsMemory(t *testing.T) {
-	h := NewHistogram(128, 1)
-	for i := 0; i < 100000; i++ {
-		h.Observe(time.Duration(i) * time.Microsecond)
-	}
-	if len(h.samples) != 128 {
-		t.Fatalf("retained %d samples, want 128", len(h.samples))
-	}
-	if h.Count() != 100000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	// The reservoir median should be around the true median.
-	p50 := h.Percentile(0.5)
-	if p50 < 30*time.Millisecond || p50 > 70*time.Millisecond {
-		t.Fatalf("reservoir p50 = %v, want ~50ms", p50)
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(16, 1)
-	h.Observe(time.Second)
-	h.Reset()
-	if h.Count() != 0 || h.Mean() != 0 || h.Max() != 0 {
-		t.Fatal("reset did not clear state")
 	}
 }
 
@@ -84,7 +58,7 @@ func TestHistogramPercentileNearestRank(t *testing.T) {
 		{"10-sample p100", []time.Duration{ms(1), ms(2), ms(3), ms(4), ms(5), ms(6), ms(7), ms(8), ms(9), ms(10)}, 1.0, ms(10)},
 	}
 	for _, tc := range cases {
-		h := NewHistogram(64, 1)
+		h := NewHistogram()
 		for _, d := range tc.samples {
 			h.Observe(d)
 		}
@@ -94,32 +68,32 @@ func TestHistogramPercentileNearestRank(t *testing.T) {
 	}
 }
 
-func TestHistogramResetReseedsRNG(t *testing.T) {
-	// A reset histogram must replay the exact reservoir decisions of a
-	// fresh one with the same seed; otherwise reset-and-reuse runs diverge.
-	reset := NewHistogram(32, 7)
-	for i := 0; i < 500; i++ {
-		reset.Observe(time.Duration(i) * time.Microsecond)
+// TestHistogramExact pins that the histogram keeps every sample: over
+// 100,000 observations (past any fixed sample budget) each percentile is
+// the ceiling nearest-rank of the sorted input.
+func TestHistogramExact(t *testing.T) {
+	const n = 100000
+	h := NewHistogram()
+	in := make([]time.Duration, n)
+	for i := range in {
+		// A multiplicative-hash scramble: unsorted input spread over 50ms.
+		in[i] = time.Duration(uint64(i) * 2654435761 % uint64(50*time.Millisecond))
+		h.Observe(in[i])
 	}
-	reset.Reset()
-	fresh := NewHistogram(32, 7)
-	for i := 0; i < 500; i++ {
-		d := time.Duration(i) * time.Millisecond
-		reset.Observe(d)
-		fresh.Observe(d)
+	slices.Sort(in)
+	if h.Count() != n || h.Max() != in[n-1] {
+		t.Fatalf("count=%d max=%v, want %d and %v", h.Count(), h.Max(), n, in[n-1])
 	}
-	if len(reset.samples) != len(fresh.samples) {
-		t.Fatalf("sample counts diverged: %d vs %d", len(reset.samples), len(fresh.samples))
-	}
-	for i := range fresh.samples {
-		if reset.samples[i] != fresh.samples[i] {
-			t.Fatalf("reservoirs diverged at %d: %v vs %v", i, reset.samples[i], fresh.samples[i])
+	for _, q := range []float64{0.00001, 0.1, 0.5, 0.9, 0.99, 0.999, 0.9999, 1} {
+		want := in[int(math.Ceil(q*n))-1]
+		if got := h.Percentile(q); got != want {
+			t.Errorf("Percentile(%v) = %v, want %v", q, got, want)
 		}
 	}
 }
 
 func TestHistogramPercentileCacheInvalidation(t *testing.T) {
-	h := NewHistogram(1000, 1)
+	h := NewHistogram()
 	for i := 1; i <= 10; i++ {
 		h.Observe(time.Duration(i) * time.Millisecond)
 	}
@@ -136,10 +110,6 @@ func TestHistogramPercentileCacheInvalidation(t *testing.T) {
 	// rank), not the 5th.
 	if got := h.Percentile(0.5); got != 6*time.Millisecond {
 		t.Fatalf("p50 = %v, want 6ms", got)
-	}
-	h.Reset()
-	if got := h.Percentile(0.5); got != 0 {
-		t.Fatalf("p50 after reset = %v, want 0", got)
 	}
 }
 
@@ -242,7 +212,7 @@ func TestZeroWindowAndEmptyGuards(t *testing.T) {
 	}
 
 	// An untouched histogram reports zeros, not NaN.
-	h := NewHistogram(16, 1)
+	h := NewHistogram()
 	if h.Mean() != 0 || h.Max() != 0 || h.Count() != 0 {
 		t.Fatalf("empty histogram: mean=%v max=%v count=%d", h.Mean(), h.Max(), h.Count())
 	}
@@ -273,45 +243,5 @@ func TestSparklineNonFinite(t *testing.T) {
 	// renders as the top bar.
 	if []rune(s)[3] != '█' {
 		t.Fatalf("finite max not at full scale: %q", s)
-	}
-}
-
-func TestReservoirDeterministicPastCap(t *testing.T) {
-	// Two histograms with the same seed fed the same over-capacity sequence
-	// must retain identical reservoirs and report identical percentiles.
-	const n = 5000
-	a := NewHistogram(64, 42)
-	b := NewHistogram(64, 42)
-	for i := 0; i < n; i++ {
-		d := time.Duration((i*2654435761)%1000000) * time.Microsecond
-		a.Observe(d)
-		b.Observe(d)
-	}
-	if a.Count() != n || int64(len(a.samples)) != 64 {
-		t.Fatalf("reservoir state: count=%d retained=%d", a.Count(), len(a.samples))
-	}
-	for _, q := range []float64{0.5, 0.9, 0.99} {
-		if a.Percentile(q) != b.Percentile(q) {
-			t.Fatalf("p%v diverged: %v vs %v", q*100, a.Percentile(q), b.Percentile(q))
-		}
-	}
-}
-
-func TestReservoirCrossSeedStability(t *testing.T) {
-	// Different seeds sample different subsets, but over a wide uniform
-	// stream the median estimate must stay near the true median — the
-	// reservoir is a sample, not a bias.
-	const n = 20000
-	trueMedian := 500 * time.Microsecond
-	for seed := int64(1); seed <= 5; seed++ {
-		h := NewHistogram(1024, seed)
-		for i := 0; i < n; i++ {
-			h.Observe(time.Duration((i*7919)%1000) * time.Microsecond)
-		}
-		p50 := h.Percentile(0.5)
-		lo, hi := trueMedian*9/10, trueMedian*11/10
-		if p50 < lo || p50 > hi {
-			t.Fatalf("seed %d: p50 = %v, want within [%v, %v]", seed, p50, lo, hi)
-		}
 	}
 }

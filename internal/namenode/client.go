@@ -32,10 +32,6 @@ type Client struct {
 	// epoch and every client re-picks lazily at its next operation.
 	epoch int
 
-	// Ops and LatencySum feed the benchmark harness.
-	Ops        int64
-	LatencySum time.Duration
-
 	// span is the reusable root-span buffer for aggregate-mode tracing:
 	// a client runs one operation at a time, so StartOpInto can overwrite
 	// it per call instead of allocating.
@@ -161,7 +157,6 @@ func (cl *Client) doSized(p *sim.Proc, op string, reqExtra int, fn func(nn *Name
 
 // rpc is the uninstrumented RPC retry loop shared by all operations.
 func (cl *Client) rpc(p *sim.Proc, reqExtra int, fn func(nn *NameNode) (int, error)) error {
-	start := p.Now()
 	for attempt := 0; attempt < 4; attempt++ {
 		nn, err := cl.pick(p)
 		if err != nil {
@@ -178,11 +173,9 @@ func (cl *Client) rpc(p *sim.Proc, reqExtra int, fn func(nn *NameNode) (int, err
 			cl.nn = nil
 			continue
 		}
-		// Synchronize with the clock so the recorded end-to-end latency
-		// includes every deferred hop and service time.
+		// Synchronize with the clock so a caller measuring end-to-end
+		// latency sees every deferred hop and service time.
 		p.Flush()
-		cl.Ops++
-		cl.LatencySum += p.Now() - start
 		return err
 	}
 	return ErrNoNameNodes

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"hopsfscl/internal/blocks"
+	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/ndb"
 	"hopsfscl/internal/shard"
 	"hopsfscl/internal/sim"
@@ -281,12 +282,8 @@ func (ns *Namesystem) HealthStats(now time.Duration) (live, expected int, util f
 			continue
 		}
 		expected++
-		u := 0.0
-		if now > nn.healthAt {
-			u = nn.cpu.Utilization(nn.healthAt, now, nn.healthBusy)
-		}
-		nn.healthAt = now
-		nn.healthBusy = nn.cpu.BusyIntegral()
+		u := nn.health.Report(now)
+		nn.health.Mark(now)
 		if ns.obs != nil {
 			ns.obs.reg.Gauge("namenode.util", "nn", nn.Node.Name()).Set(u)
 		}
@@ -536,10 +533,9 @@ type NameNode struct {
 	// Ops counts operations served (per-NN throughput, Figure 6).
 	Ops int64
 
-	// healthAt/healthBusy snapshot the CPU busy integral at the last health
-	// probe, so HealthStats reports utilization over the probe interval.
-	healthAt   time.Duration
-	healthBusy int64
+	// health measures CPU utilization since the last health probe, so
+	// HealthStats reports utilization over the probe interval.
+	health *metrics.UtilWindow
 }
 
 // ActiveNN is one entry of the leader's active-NN list, carrying the
@@ -563,6 +559,7 @@ func (ns *Namesystem) AddNameNode(zone simnet.ZoneID, host simnet.HostID, domain
 		cache:    newHintCache(ns.cfg.HintCacheSize),
 		leaderID: 1,
 	}
+	nn.health = metrics.NewUtilWindow(nn.cpu)
 	nn.cache.setGauge(ns.cacheSizeGauge(nn))
 	ns.nns = append(ns.nns, nn)
 	ns.db.Env().Spawn(nn.Node.Name()+"/election", func(p *sim.Proc) { nn.electionLoop(p) })

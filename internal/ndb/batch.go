@@ -200,7 +200,6 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 			}
 			resp += gets[i].Table.rowSize
 		}
-		t.c.Stats.Reads += int64(len(g.idx))
 		if target != t.tc {
 			target.send(p)
 			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, resp, cfg.RPCTimeout) {
@@ -268,7 +267,6 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 			}
 			resp += len(rows) * scans[i].Table.rowSize
 		}
-		t.c.Stats.Reads += int64(len(g.idx))
 		if target != t.tc {
 			target.send(p)
 			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, resp, cfg.RPCTimeout) {

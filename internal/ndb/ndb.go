@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"hash/fnv"
 
+	"hopsfscl/internal/metrics"
 	"hopsfscl/internal/sim"
 	"hopsfscl/internal/simnet"
 	"hopsfscl/internal/trace"
@@ -241,8 +242,6 @@ type Stats struct {
 	Begun     int64
 	Committed int64
 	Aborted   int64
-	Reads     int64
-	Writes    int64
 }
 
 // DataNode is one NDB datanode: a network endpoint plus the Table II thread
@@ -259,10 +258,9 @@ type DataNode struct {
 	threads      [threadTypes]*sim.Resource
 	declaredDead bool
 
-	// healthAt/healthBusy snapshot the thread-pool busy integrals at the
-	// last health probe (see Cluster.HealthStats).
-	healthAt   time.Duration
-	healthBusy [threadTypes]int64
+	// health measures thread-pool utilization since the last health probe
+	// (see Cluster.HealthStats).
+	health *metrics.UtilWindow
 
 	// redoPending accumulates bytes to be flushed at the next global
 	// checkpoint.
@@ -319,6 +317,7 @@ func New(env *sim.Env, net *simnet.Network, cfg Config, dataPlacement, mgmtPlace
 		for t := range dn.threads {
 			dn.threads[t] = sim.NewResource(env, fmt.Sprintf("%sndb-%d/%s", cfg.NamePrefix, i+1, ThreadType(t)), threadCounts[t])
 		}
+		dn.health = metrics.NewUtilWindow(dn.threads[:]...)
 		c.datanodes = append(c.datanodes, dn)
 		c.groups[dn.Group] = append(c.groups[dn.Group], dn)
 	}
@@ -364,17 +363,8 @@ func (c *Cluster) HealthStats(now time.Duration) (live, expected int, groupLost 
 	var sum float64
 	var n int
 	for _, dn := range c.datanodes {
-		var nodeSum float64
-		for t := range dn.threads {
-			u := 0.0
-			if now > dn.healthAt {
-				u = dn.threads[t].Utilization(dn.healthAt, now, dn.healthBusy[t])
-			}
-			dn.healthBusy[t] = dn.threads[t].BusyIntegral()
-			nodeSum += u
-		}
-		nodeUtil := nodeSum / float64(threadTypes)
-		dn.healthAt = now
+		nodeUtil := dn.health.Report(now)
+		dn.health.Mark(now)
 		if c.obs != nil {
 			c.obs.reg.Gauge("ndb.util", "dn", dn.Node.Name()).Set(nodeUtil)
 		}

@@ -249,7 +249,6 @@ func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, err
 	if target == nil || !target.Alive() {
 		return nil, false, t.failAbort()
 	}
-	t.c.Stats.Reads++
 	if slot >= 0 {
 		part.reads[slot]++
 	}
@@ -318,7 +317,6 @@ func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
 	for i := 0; i < batches; i++ {
 		target.use(t.p, LDM, cfg.Costs.LDMRead)
 	}
-	t.c.Stats.Reads++
 	if slot >= 0 {
 		part.reads[slot]++
 	}
@@ -378,7 +376,6 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 		for i := 0; i < 1+found/8; i++ {
 			target.use(t.p, LDM, cfg.Costs.LDMRead)
 		}
-		t.c.Stats.Reads++
 		if target != t.tc {
 			target.send(t.p)
 			if !t.c.net.TravelDeferred(t.p, target.Node, t.tc.Node, ackSize+found*table.rowSize, cfg.RPCTimeout) {
@@ -417,7 +414,6 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 		return nil, false, err
 	}
 	primary.use(t.p, LDM, cfg.Costs.LDMRead)
-	t.c.Stats.Reads++
 	part.reads[0]++
 	val, ok := part.committed(partKey, key)
 	if primary != t.tc {
@@ -464,7 +460,6 @@ func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) erro
 		t.tc.recv(t.p)
 	}
 	t.writes = append(t.writes, writeOp{part: part, pk: partKey, key: key, val: val, del: del})
-	t.c.Stats.Writes++
 	return nil
 }
 

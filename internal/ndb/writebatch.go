@@ -92,7 +92,6 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 				return false
 			}
 			target.use(p, LDM, cfg.Costs.LDMWrite)
-			t.c.Stats.Writes++
 		}
 		if target != t.tc {
 			target.send(p)
