@@ -483,9 +483,6 @@ func (ns *Namesystem) Seed(dirs, files []string) error {
 // DB returns the metadata storage cluster.
 func (ns *Namesystem) DB() *ndb.Cluster { return ns.db }
 
-// BlockManager returns the block layer (may be nil).
-func (ns *Namesystem) BlockManager() *blocks.Manager { return ns.blockMgr }
-
 // Config returns the namesystem configuration.
 func (ns *Namesystem) Config() Config { return ns.cfg }
 

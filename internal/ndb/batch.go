@@ -53,27 +53,28 @@ type batchGroup struct {
 	idx    []int
 }
 
-// routeRow resolves the read target for one row of table at partKey,
-// following ReadCommitted's routing rules. It returns the chosen datanode,
-// its replica slot (-1 when the TC serves a fully replicated row it does not
-// own), and the row's partition.
-func (t *Txn) routeRow(table *Table, partKey string) (*DataNode, int, *Partition) {
-	part := t.access(table, partKey)
+// routeRow is the §IV-A5 read-routing rule, the one copy every read path
+// shares: a fully replicated row is served by the TC itself, a Read Backup
+// row by the alive replica nearest the TC, and any other row by the
+// primary replica. It returns the serving datanode — nil when none is
+// alive — and its replica slot, -1 when the TC serves a fully replicated
+// row it holds no slot of.
+func (t *Txn) routeRow(part *Partition) (*DataNode, int) {
 	reps := part.replicas()
 	if len(reps) == 0 {
-		return nil, -1, part
+		return nil, -1
 	}
 	var target *DataNode
 	slot := -1
 	switch {
-	case table.opts.FullyReplicated:
+	case part.table.opts.FullyReplicated:
 		target = t.tc
 		for i, r := range reps {
 			if r == target {
 				slot = i
 			}
 		}
-	case table.opts.ReadBackup:
+	case part.table.opts.ReadBackup:
 		best := ProximityRemote + 1
 		for i, r := range reps {
 			if !r.Alive() {
@@ -89,7 +90,34 @@ func (t *Txn) routeRow(table *Table, partKey string) (*DataNode, int, *Partition
 	if target != nil && !target.Alive() {
 		target = nil
 	}
-	return target, slot, part
+	return target, slot
+}
+
+// toReplica carries a request of size bytes from the TC to target on p,
+// charging target's receive; fromReplica carries the response back,
+// charging target's send and the TC's receive. Both are free when the TC
+// serves the request itself, and report false when the hop is lost.
+func (t *Txn) toReplica(p *sim.Proc, target *DataNode, size int) bool {
+	if target == t.tc {
+		return true
+	}
+	if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, size, t.c.cfg.RPCTimeout) {
+		return false
+	}
+	target.recv(p)
+	return true
+}
+
+func (t *Txn) fromReplica(p *sim.Proc, target *DataNode, size int) bool {
+	if target == t.tc {
+		return true
+	}
+	target.send(p)
+	if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, size, t.c.cfg.RPCTimeout) {
+		return false
+	}
+	t.tc.recv(p)
+	return true
 }
 
 // groupByTarget routes every row and groups the row indices by target
@@ -173,8 +201,9 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 	slots := sc.intsFor(len(gets))
 	parts := sc.partsFor(len(gets))
 	groups, ok := groupByTarget(sc, len(gets), func(i int) (*DataNode, bool) {
-		target, slot, part := t.routeRow(gets[i].Table, gets[i].PartKey)
-		slots[i], parts[i] = slot, part
+		parts[i] = t.access(gets[i].Table, gets[i].PartKey)
+		target, slot := t.routeRow(parts[i])
+		slots[i] = slot
 		return target, target != nil
 	})
 	if !ok {
@@ -183,12 +212,8 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 
 	serve := func(p *sim.Proc, g *batchGroup) bool {
 		target := g.target
-		if target != t.tc {
-			req := reqSize + batchRowOverhead*(len(g.idx)-1)
-			if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, req, cfg.RPCTimeout) {
-				return false
-			}
-			target.recv(p)
+		if !t.toReplica(p, target, reqSize+batchRowOverhead*(len(g.idx)-1)) {
+			return false
 		}
 		resp := ackSize
 		for _, i := range g.idx {
@@ -200,14 +225,7 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]BatchVal, error) {
 			}
 			resp += gets[i].Table.rowSize
 		}
-		if target != t.tc {
-			target.send(p)
-			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, resp, cfg.RPCTimeout) {
-				return false
-			}
-			t.tc.recv(p)
-		}
-		return true
+		return t.fromReplica(p, target, resp)
 	}
 	if !t.runBatch("read", groups, len(gets), serve) {
 		return nil, t.failAbort()
@@ -236,8 +254,9 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 	slots := sc.intsFor(len(scans))
 	parts := sc.partsFor(len(scans))
 	groups, ok := groupByTarget(sc, len(scans), func(i int) (*DataNode, bool) {
-		target, slot, part := t.routeRow(scans[i].Table, scans[i].PartKey)
-		slots[i], parts[i] = slot, part
+		parts[i] = t.access(scans[i].Table, scans[i].PartKey)
+		target, slot := t.routeRow(parts[i])
+		slots[i] = slot
 		return target, target != nil
 	})
 	if !ok {
@@ -246,12 +265,8 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 
 	serve := func(p *sim.Proc, g *batchGroup) bool {
 		target := g.target
-		if target != t.tc {
-			req := reqSize + batchRowOverhead*(len(g.idx)-1)
-			if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, req, cfg.RPCTimeout) {
-				return false
-			}
-			target.recv(p)
+		if !t.toReplica(p, target, reqSize+batchRowOverhead*(len(g.idx)-1)) {
+			return false
 		}
 		resp := ackSize
 		for _, i := range g.idx {
@@ -267,14 +282,7 @@ func (t *Txn) ScanBatch(scans []BatchScan) ([][]KV, error) {
 			}
 			resp += len(rows) * scans[i].Table.rowSize
 		}
-		if target != t.tc {
-			target.send(p)
-			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, resp, cfg.RPCTimeout) {
-				return false
-			}
-			t.tc.recv(p)
-		}
-		return true
+		return t.fromReplica(p, target, resp)
 	}
 	if !t.runBatch("read", groups, len(scans), serve) {
 		return nil, t.failAbort()

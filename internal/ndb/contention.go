@@ -13,15 +13,15 @@ import (
 // This file is the contention ledger: a tracer subscriber folding every
 // trace.LockWait event — who waited on whom: (table, lock mode, waiter
 // operation type, holder operation type, wait duration) — from every
-// cluster (shard) on that tracer into a bounded, deterministic aggregate,
-// plus a sampled ring of individual wait-for edges. The paper attributes
+// cluster (shard) on that tracer into a bounded, deterministic aggregate.
+// The paper attributes
 // HopsFS's behavior under load to hierarchical lock contention
 // (§V-C/V-E); the ledger turns the existing txn.lock_wait total into
 // "which op blocked which op on which table".
 //
 // The kernel runs one process at a time, so the ledger needs no locking
-// (the same discipline as Cluster.Stats). All bounds are deterministic:
-// eviction never depends on map iteration, and sampling is count-based.
+// (the same discipline as Cluster.Stats). The bound is deterministic:
+// overflow never depends on map iteration.
 
 // lockModeLabel names a lock mode for reports and metric labels.
 func lockModeLabel(m LockMode) string {
@@ -56,29 +56,12 @@ type ContentionEntry struct {
 	Max      time.Duration
 }
 
-// WaitEdge is one sampled wait-for edge: a concrete instance of waiter
-// blocking on holder.
-type WaitEdge struct {
-	At       time.Duration
-	Table    string
-	Holder   string
-	Waiter   string
-	Mode     LockMode
-	Wait     time.Duration
-	TimedOut bool
-}
-
 // ContentionLedger is the bounded record of lock blocking on one tracer.
 type ContentionLedger struct {
 	capKeys     int
 	entries     map[contKey]*ContentionEntry
 	droppedKeys int64
 	events      int64
-
-	sampleEvery int64
-	sampleCap   int
-	samples     []WaitEdge
-	sampleNext  int
 
 	// counters caches each key's ndb.contention.{blocks,wait_ns,pairs}
 	// handles, registered on the key's first event (the label space is
@@ -90,22 +73,16 @@ type ContentionLedger struct {
 // ledger sizing: generous enough that real runs never overflow (tables ×
 // op-type pairs is small), bounded so a pathological workload cannot grow
 // without limit.
-const (
-	contCapKeys     = 1024
-	contSampleCap   = 256
-	contSampleEvery = 8
-)
+const contCapKeys = 1024
 
 // NewContentionLedger returns an empty ledger mirroring its events into
 // reg (nil skips the counters). Attach it with Tracer.Subscribe(l.OnEvent).
 func NewContentionLedger(reg *trace.Registry) *ContentionLedger {
 	return &ContentionLedger{
-		capKeys:     contCapKeys,
-		entries:     make(map[contKey]*ContentionEntry),
-		sampleEvery: contSampleEvery,
-		sampleCap:   contSampleCap,
-		reg:         reg,
-		counters:    make(map[contKey]*[3]*trace.Counter),
+		capKeys:  contCapKeys,
+		entries:  make(map[contKey]*ContentionEntry),
+		reg:      reg,
+		counters: make(map[contKey]*[3]*trace.Counter),
 	}
 }
 
@@ -118,13 +95,13 @@ func (l *ContentionLedger) OnEvent(ev trace.Event) {
 	if ev.Exclusive {
 		mode = LockExclusive
 	}
-	l.record(ev.At, ev.Table, ev.Holder, ev.Op, mode, ev.Dur, ev.Failed)
+	l.record(ev.Table, ev.Holder, ev.Op, mode, ev.Dur, ev.Failed)
 }
 
 // record folds one resolved blocking event into the ledger and mirrors it
 // into the registry: per-table block and wait counters plus a
 // per-(holder, waiter) pair counter.
-func (l *ContentionLedger) record(now time.Duration, table, holder, waiter string, mode LockMode, wait time.Duration, timedOut bool) {
+func (l *ContentionLedger) record(table, holder, waiter string, mode LockMode, wait time.Duration, timedOut bool) {
 	if l == nil {
 		return
 	}
@@ -165,17 +142,6 @@ func (l *ContentionLedger) record(now time.Duration, table, holder, waiter strin
 	}
 	if timedOut {
 		e.Timeouts++
-	}
-	// Every Nth event lands in the sample ring (FIFO once full), a
-	// deterministic sketch of individual wait-for edges for debugging.
-	if l.events%l.sampleEvery == 1 || l.sampleEvery == 1 {
-		edge := WaitEdge{At: now, Table: table, Holder: holder, Waiter: waiter, Mode: mode, Wait: wait, TimedOut: timedOut}
-		if len(l.samples) < l.sampleCap {
-			l.samples = append(l.samples, edge)
-		} else {
-			l.samples[l.sampleNext] = edge
-			l.sampleNext = (l.sampleNext + 1) % l.sampleCap
-		}
 	}
 }
 
@@ -226,17 +192,6 @@ func (l *ContentionLedger) Entries() []ContentionEntry {
 	return out
 }
 
-// Samples returns the sampled wait-for edges, oldest first.
-func (l *ContentionLedger) Samples() []WaitEdge {
-	if l == nil {
-		return nil
-	}
-	out := make([]WaitEdge, 0, len(l.samples))
-	out = append(out, l.samples[l.sampleNext:]...)
-	out = append(out, l.samples[:l.sampleNext]...)
-	return out
-}
-
 // Reset clears the ledger — a measurement window restarting its view.
 func (l *ContentionLedger) Reset() {
 	if l == nil {
@@ -245,8 +200,6 @@ func (l *ContentionLedger) Reset() {
 	l.entries = make(map[contKey]*ContentionEntry)
 	l.droppedKeys = 0
 	l.events = 0
-	l.samples = l.samples[:0]
-	l.sampleNext = 0
 }
 
 // TableContention is the per-table rollup of the ledger.

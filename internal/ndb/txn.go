@@ -204,9 +204,9 @@ func (t *Txn) StagedWrites(fn func(table *Table, partKey, key string, val Value,
 }
 
 // ReadCommitted reads the committed value of a row without locking. Routing
-// follows §IV-A5: Read Backup tables may serve from the TC-local replica
-// (primary or backup), fully replicated tables serve from the TC itself,
-// and plain tables always read the primary replica.
+// follows §IV-A5 (routeRow): Read Backup tables may serve from the TC-local
+// replica (primary or backup), fully replicated tables serve from the TC
+// itself, and plain tables always read the primary replica.
 func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, error) {
 	if t.done {
 		return nil, false, ErrAborted
@@ -214,58 +214,20 @@ func (t *Txn) ReadCommitted(table *Table, partKey, key string) (Value, bool, err
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
 	part := t.access(table, partKey)
-	reps := part.replicas()
-	if len(reps) == 0 {
-		return nil, false, t.failAbort()
-	}
-
-	var target *DataNode
-	slot := -1
-	switch {
-	case table.opts.FullyReplicated:
-		// Every datanode has the row; the TC serves it locally.
-		target = t.tc
-		for i, r := range reps {
-			if r == target {
-				slot = i
-			}
-		}
-	case table.opts.ReadBackup:
-		// Any replica is consistent; prefer the one nearest the TC.
-		best := ProximityRemote + 1
-		for i, r := range reps {
-			if !r.Alive() {
-				continue
-			}
-			d := domainProximity(t.tc.Node, t.tc.Domain, r)
-			if d < best {
-				best, target, slot = d, r, i
-			}
-		}
-	default:
-		// Reads are rerouted to the primary replica.
-		target, slot = reps[0], 0
-	}
-	if target == nil || !target.Alive() {
+	target, slot := t.routeRow(part)
+	if target == nil {
 		return nil, false, t.failAbort()
 	}
 	if slot >= 0 {
 		part.reads[slot]++
 	}
-	if target != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, target.Node, reqSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		target.recv(t.p)
+	if !t.toReplica(t.p, target, reqSize) {
+		return nil, false, t.failAbort()
 	}
 	target.use(t.p, LDM, cfg.Costs.LDMRead)
 	val, ok := part.committed(partKey, key)
-	if target != t.tc {
-		target.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, target.Node, t.tc.Node, ackSize+table.rowSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.fromReplica(t.p, target, ackSize+table.rowSize) {
+		return nil, false, t.failAbort()
 	}
 	return val, ok, nil
 }
@@ -288,28 +250,12 @@ func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
 	cfg := &t.c.cfg
 	t.tc.use(t.p, TC, cfg.Costs.TCOp)
 	part := t.access(table, partKey)
-	reps := part.replicas()
-	if len(reps) == 0 {
+	target, slot := t.routeRow(part)
+	if target == nil {
 		return nil, t.failAbort()
 	}
-	target := reps[0]
-	slot := 0
-	if table.opts.FullyReplicated {
-		target, slot = t.tc, -1
-	} else if table.opts.ReadBackup {
-		best := ProximityRemote + 1
-		for i, r := range reps {
-			d := domainProximity(t.tc.Node, t.tc.Domain, r)
-			if d < best {
-				best, target, slot = d, r, i
-			}
-		}
-	}
-	if target != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, target.Node, reqSize, cfg.RPCTimeout) {
-			return nil, t.failAbort()
-		}
-		target.recv(t.p)
+	if !t.toReplica(t.p, target, reqSize) {
+		return nil, t.failAbort()
 	}
 	out := part.scanPrefix(partKey, prefix)
 	// One LDM charge per small batch of rows scanned, minimum one.
@@ -320,13 +266,8 @@ func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
 	if slot >= 0 {
 		part.reads[slot]++
 	}
-	if target != t.tc {
-		target.send(t.p)
-		size := ackSize + len(out)*table.rowSize
-		if !t.c.net.TravelDeferred(t.p, target.Node, t.tc.Node, size, cfg.RPCTimeout) {
-			return nil, t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.fromReplica(t.p, target, ackSize+len(out)*table.rowSize) {
+		return nil, t.failAbort()
 	}
 	return out, nil
 }
@@ -334,7 +275,9 @@ func (t *Txn) ScanPrefix(table *Table, partKey, prefix string) ([]KV, error) {
 // ScanTablePrefix scans every partition of the table for committed rows
 // whose key starts with prefix, in key order. It exists for listings whose
 // rows are deliberately scattered across partitions (a HopsFS root
-// directory listing); it costs one routed scan per partition.
+// directory listing); it costs one routed scan per partition. It counts no
+// replica-slot reads and emits no row accesses: it touches the whole table,
+// not a row.
 func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	if t.done {
 		return nil, ErrAborted
@@ -343,26 +286,12 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 	var out []KV
 	for _, part := range table.partitions {
 		t.tc.use(t.p, TC, cfg.Costs.TCOp)
-		reps := part.replicas()
-		if len(reps) == 0 {
+		target, _ := t.routeRow(part)
+		if target == nil {
 			return nil, t.failAbort()
 		}
-		target := reps[0]
-		if table.opts.FullyReplicated {
-			target = t.tc
-		} else if table.opts.ReadBackup {
-			best := ProximityRemote + 1
-			for _, r := range reps {
-				if d := domainProximity(t.tc.Node, t.tc.Domain, r); d < best {
-					best, target = d, r
-				}
-			}
-		}
-		if target != t.tc {
-			if !t.c.net.TravelDeferred(t.p, t.tc.Node, target.Node, reqSize, cfg.RPCTimeout) {
-				return nil, t.failAbort()
-			}
-			target.recv(t.p)
+		if !t.toReplica(t.p, target, reqSize) {
+			return nil, t.failAbort()
 		}
 		var found int
 		for _, bucket := range part.rows {
@@ -376,12 +305,8 @@ func (t *Txn) ScanTablePrefix(table *Table, prefix string) ([]KV, error) {
 		for i := 0; i < 1+found/8; i++ {
 			target.use(t.p, LDM, cfg.Costs.LDMRead)
 		}
-		if target != t.tc {
-			target.send(t.p)
-			if !t.c.net.TravelDeferred(t.p, target.Node, t.tc.Node, ackSize+found*table.rowSize, cfg.RPCTimeout) {
-				return nil, t.failAbort()
-			}
-			t.tc.recv(t.p)
+		if !t.fromReplica(t.p, target, ackSize+found*table.rowSize) {
+			return nil, t.failAbort()
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
@@ -403,11 +328,8 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 		return nil, false, t.failAbort()
 	}
 	primary := reps[0]
-	if primary != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, primary.Node, reqSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		primary.recv(t.p)
+	if !t.toReplica(t.p, primary, reqSize) {
+		return nil, false, t.failAbort()
 	}
 	if err := t.lockRow(part, partKey, key, mode); err != nil {
 		t.abortLocked()
@@ -416,12 +338,8 @@ func (t *Txn) ReadLocked(table *Table, partKey, key string, mode LockMode) (Valu
 	primary.use(t.p, LDM, cfg.Costs.LDMRead)
 	part.reads[0]++
 	val, ok := part.committed(partKey, key)
-	if primary != t.tc {
-		primary.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, primary.Node, t.tc.Node, ackSize+table.rowSize, cfg.RPCTimeout) {
-			return nil, false, t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.fromReplica(t.p, primary, ackSize+table.rowSize) {
+		return nil, false, t.failAbort()
 	}
 	return val, ok, nil
 }
@@ -441,23 +359,16 @@ func (t *Txn) Write(table *Table, partKey, key string, val Value, del bool) erro
 		return t.failAbort()
 	}
 	primary := reps[0]
-	if primary != t.tc {
-		if !t.c.net.TravelDeferred(t.p, t.tc.Node, primary.Node, reqSize+table.rowSize, cfg.RPCTimeout) {
-			return t.failAbort()
-		}
-		primary.recv(t.p)
+	if !t.toReplica(t.p, primary, reqSize+table.rowSize) {
+		return t.failAbort()
 	}
 	if err := t.lockRow(part, partKey, key, LockExclusive); err != nil {
 		t.abortLocked()
 		return err
 	}
 	primary.use(t.p, LDM, cfg.Costs.LDMWrite)
-	if primary != t.tc {
-		primary.send(t.p)
-		if !t.c.net.TravelDeferred(t.p, primary.Node, t.tc.Node, ackSize, cfg.RPCTimeout) {
-			return t.failAbort()
-		}
-		t.tc.recv(t.p)
+	if !t.fromReplica(t.p, primary, ackSize) {
+		return t.failAbort()
 	}
 	t.writes = append(t.writes, writeOp{part: part, pk: partKey, key: key, val: val, del: del})
 	return nil

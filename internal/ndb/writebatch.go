@@ -72,16 +72,13 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 	errs := sc.errsFor(len(items))
 	serve := func(p *sim.Proc, g *batchGroup) bool {
 		target := g.target
-		if target != t.tc {
-			req := reqSize + batchRowOverhead*(len(g.idx)-1)
-			for _, i := range g.idx {
-				req += items[i].Table.rowSize
-			}
-			if !t.c.net.TravelDeferred(p, t.tc.Node, target.Node, req, cfg.RPCTimeout) {
-				errs[g.idx[0]] = ErrNodeUnavailable
-				return false
-			}
-			target.recv(p)
+		req := reqSize + batchRowOverhead*(len(g.idx)-1)
+		for _, i := range g.idx {
+			req += items[i].Table.rowSize
+		}
+		if !t.toReplica(p, target, req) {
+			errs[g.idx[0]] = ErrNodeUnavailable
+			return false
 		}
 		for _, i := range g.idx {
 			// Per-row locking: conflicts, the ledger, and the deadlock
@@ -93,13 +90,9 @@ func (t *Txn) WriteBatch(items []BatchWrite) error {
 			}
 			target.use(p, LDM, cfg.Costs.LDMWrite)
 		}
-		if target != t.tc {
-			target.send(p)
-			if !t.c.net.TravelDeferred(p, target.Node, t.tc.Node, ackSize, cfg.RPCTimeout) {
-				errs[g.idx[0]] = ErrNodeUnavailable
-				return false
-			}
-			t.tc.recv(p)
+		if !t.fromReplica(p, target, ackSize) {
+			errs[g.idx[0]] = ErrNodeUnavailable
+			return false
 		}
 		return true
 	}

@@ -57,14 +57,12 @@ type Router struct {
 	// it is unique per deployment.
 	intentSeq uint64
 
-	// Free-lists for the per-call conversion buffers of the batched
-	// wrappers (txn.go). The simulation kernel is cooperative, so rent and
-	// return need no locking — the same discipline as the cluster's
-	// scratch pools.
-	freeWrites [][]ndb.BatchWrite
-	freeGets   [][]ndb.BatchGet
-	freeScans  [][]ndb.BatchScan
-	freeIdx    [][]int
+	// Conversion buffers of the batched wrappers (txn.go): per-shard item
+	// lists and the positions they scatter back to.
+	writes pool[ndb.BatchWrite]
+	gets   pool[ndb.BatchGet]
+	scans  pool[ndb.BatchScan]
+	idx    pool[int]
 }
 
 // routerObs caches the registry handles of the router's own metrics.
@@ -245,78 +243,29 @@ func (r *Router) shardOfTable(t *ndb.Table) int {
 	return 0
 }
 
-// Conversion-buffer pools. Buffers are rented for one wrapper call and
-// returned before it exits, so steady-state batched operations allocate
-// nothing beyond what the unsharded path did.
+// pool is a free-list of buffers rented for one wrapper call and returned
+// before it exits, so steady-state batched operations allocate nothing
+// beyond what the unsharded path did. The simulation kernel is
+// cooperative, so rent and put need no locking — the same discipline as
+// the cluster's scratch pools.
+type pool[T any] struct {
+	free [][]T
+}
 
-func (r *Router) rentWrites(n int) []ndb.BatchWrite {
-	if k := len(r.freeWrites); k > 0 {
-		b := r.freeWrites[k-1]
-		r.freeWrites = r.freeWrites[:k-1]
+// rent returns an empty buffer with room for n items.
+func (p *pool[T]) rent(n int) []T {
+	if k := len(p.free); k > 0 {
+		b := p.free[k-1]
+		p.free = p.free[:k-1]
 		if cap(b) >= n {
 			return b
 		}
 	}
-	return make([]ndb.BatchWrite, 0, n+8)
+	return make([]T, 0, n+8)
 }
 
-func (r *Router) putWrites(b []ndb.BatchWrite) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = ndb.BatchWrite{} // drop value references
-	}
-	r.freeWrites = append(r.freeWrites, b[:0])
-}
-
-func (r *Router) rentGets(n int) []ndb.BatchGet {
-	if k := len(r.freeGets); k > 0 {
-		b := r.freeGets[k-1]
-		r.freeGets = r.freeGets[:k-1]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]ndb.BatchGet, 0, n+8)
-}
-
-func (r *Router) putGets(b []ndb.BatchGet) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = ndb.BatchGet{}
-	}
-	r.freeGets = append(r.freeGets, b[:0])
-}
-
-func (r *Router) rentScans(n int) []ndb.BatchScan {
-	if k := len(r.freeScans); k > 0 {
-		b := r.freeScans[k-1]
-		r.freeScans = r.freeScans[:k-1]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]ndb.BatchScan, 0, n+8)
-}
-
-func (r *Router) putScans(b []ndb.BatchScan) {
-	b = b[:cap(b)]
-	for i := range b {
-		b[i] = ndb.BatchScan{}
-	}
-	r.freeScans = append(r.freeScans, b[:0])
-}
-
-func (r *Router) rentIdx(n int) []int {
-	if k := len(r.freeIdx); k > 0 {
-		b := r.freeIdx[k-1]
-		r.freeIdx = r.freeIdx[:k-1]
-		if cap(b) >= n {
-			return b
-		}
-	}
-	return make([]int, 0, n+8)
-}
-
-func (r *Router) putIdx(b []int) {
-	r.freeIdx = append(r.freeIdx, b[:0])
+// put returns a buffer, dropping the references it holds.
+func (p *pool[T]) put(b []T) {
+	clear(b[:cap(b)])
+	p.free = append(p.free, b[:0])
 }

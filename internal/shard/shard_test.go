@@ -321,3 +321,92 @@ func TestIntentReplayIdempotent(t *testing.T) {
 		t.Fatalf("moved value was not re-homed at the source: val=%v ok=%v", v, ok)
 	}
 }
+
+// keysOnShardSplitGroups returns two partition keys pinned to shard s
+// whose partitions live on different node groups of that shard's cluster.
+// Pins keep the pair on one shard whatever the hash, which correlates with
+// the partition index.
+func keysOnShardSplitGroups(t *testing.T, r *Router, ts *TableSet, s int) (string, string) {
+	t.Helper()
+	groupOf := func(pk string) int {
+		primary := ts.At(s).PrimaryFor(pk)
+		for g, dns := range r.Cluster(s).NodeGroups() {
+			for _, dn := range dns {
+				if dn == primary {
+					return g
+				}
+			}
+		}
+		t.Fatalf("primary of %q is in no node group", pk)
+		return -1
+	}
+	first := "pk0"
+	for i := 1; i < 10000; i++ {
+		pk := fmt.Sprintf("pk%d", i)
+		if groupOf(pk) != groupOf(first) {
+			for _, k := range []string{first, pk} {
+				if err := r.Pin(k, s); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return first, pk
+		}
+	}
+	t.Fatalf("no two probe keys span node groups")
+	return "", ""
+}
+
+// TestSplitBatchFailedSubBatch checks that a split batch whose second
+// shard's sub-batch fails returns the error instead of scattering a
+// missing result. The shard-1 sub-transaction begins fine — it is hinted
+// by a row whose node group is alive — but another shard-1 row sits on a
+// node group that is down, so that sub-batch aborts.
+func TestSplitBatchFailedSubBatch(t *testing.T) {
+	for _, kind := range []string{"ReadBatch", "ScanBatch"} {
+		t.Run(kind, func(t *testing.T) {
+			env, r, client := testRouter(t, 2)
+			for _, c := range r.Clusters() {
+				c.StopBackground()
+			}
+			ts := r.NewTableSet("t", 128, ndb.TableOptions{})
+			live, dead := keysOnShardSplitGroups(t, r, ts, 1)
+			pk0 := keyOnShard(t, r, 0)
+			primary := ts.At(1).PrimaryFor(dead)
+			for _, dns := range r.Cluster(1).NodeGroups() {
+				for _, dn := range dns {
+					if dn == primary {
+						for _, down := range dns {
+							down.Node.Fail()
+						}
+					}
+				}
+			}
+			var err error
+			env.Spawn("txn", func(p *sim.Proc) {
+				tx, berr := r.Begin(p, client, 1, ts, pk0)
+				if berr != nil {
+					err = berr
+					return
+				}
+				if kind == "ReadBatch" {
+					_, err = tx.ReadBatch([]BatchGet{
+						{Table: ts, PartKey: pk0, Key: "k"},
+						{Table: ts, PartKey: live, Key: "k"},
+						{Table: ts, PartKey: dead, Key: "k"},
+					})
+				} else {
+					_, err = tx.ScanBatch([]BatchScan{
+						{Table: ts, PartKey: pk0, Prefix: "k"},
+						{Table: ts, PartKey: live, Prefix: "k"},
+						{Table: ts, PartKey: dead, Prefix: "k"},
+					})
+				}
+				tx.Abort()
+			})
+			env.RunFor(10 * time.Second)
+			if err == nil {
+				t.Fatal("split batch over a downed node group succeeded")
+			}
+		})
+	}
+}

@@ -170,63 +170,86 @@ type BatchWrite struct {
 	Del     bool
 }
 
-// ReadBatch reads many rows in one batched fan-out per touched shard,
-// returning values positionally. When all rows hash to one shard — every
-// batched resolution of a path, since child rows share the parent's
-// partition key — this is a single ndb.ReadBatch, unchanged.
-func (t *Txn) ReadBatch(gets []BatchGet) ([]ndb.BatchVal, error) {
-	if len(gets) == 0 {
+// route names the shard-independent placement of a routed batch item;
+// local is its form on shard s.
+func (g BatchGet) route() (*TableSet, string) { return g.Table, g.PartKey }
+func (g BatchGet) local(s int) ndb.BatchGet {
+	return ndb.BatchGet{Table: g.Table.tabs[s], PartKey: g.PartKey, Key: g.Key}
+}
+
+func (g BatchScan) route() (*TableSet, string) { return g.Table, g.PartKey }
+func (g BatchScan) local(s int) ndb.BatchScan {
+	return ndb.BatchScan{Table: g.Table.tabs[s], PartKey: g.PartKey, Prefix: g.Prefix}
+}
+
+func (w BatchWrite) route() (*TableSet, string) { return w.Table, w.PartKey }
+func (w BatchWrite) local(s int) ndb.BatchWrite {
+	return ndb.BatchWrite{Table: w.Table.tabs[s], PartKey: w.PartKey, Key: w.Key, Val: w.Val, Del: w.Del}
+}
+
+// batchItem is a routed batch item converting to the ndb item L.
+type batchItem[L any] interface {
+	route() (*TableSet, string)
+	local(s int) L
+}
+
+// splitBatch runs one routed batch: every touched shard's rows go to run
+// as one ndb batch on that shard's sub-transaction, and the results come
+// back positionally. When all rows hash to one shard this is a single run
+// call, hinted by the first row. Otherwise shards run in shard order, each
+// sub-transaction begun on first touch hinted by that shard's first row,
+// and a failed sub-batch returns its error before anything is scattered.
+func splitBatch[I batchItem[L], L, R any](t *Txn, items []I, bufs *pool[L], run func(*ndb.Txn, []L) ([]R, error)) ([]R, error) {
+	if len(items) == 0 {
 		return nil, nil
 	}
 	r := t.r
-	buf := r.rentGets(len(gets))
-	first := gets[0].Table.r.ShardOfKey(gets[0].PartKey)
-	same := true
-	for i := range gets {
-		s := gets[i].Table.r.ShardOfKey(gets[i].PartKey)
-		if s != first {
-			same = false
+	buf := bufs.rent(len(items))
+	hintTS, hintPK := items[0].route()
+	first := hintTS.Shard(hintPK)
+	for _, it := range items {
+		ts, pk := it.route()
+		if ts.Shard(pk) != first {
 			break
 		}
-		buf = append(buf, ndb.BatchGet{Table: gets[i].Table.tabs[s], PartKey: gets[i].PartKey, Key: gets[i].Key})
+		buf = append(buf, it.local(first))
 	}
-	if same {
-		sub, err := t.subFor(first, gets[0].Table, gets[0].PartKey)
-		if err != nil {
-			r.putGets(buf)
-			return nil, err
-		}
-		vals, err := sub.ReadBatch(buf)
-		r.putGets(buf)
-		return vals, err
-	}
-	r.putGets(buf)
-	out := make([]ndb.BatchVal, len(gets))
-	for s := 0; s < r.n; s++ {
-		sbuf := r.rentGets(len(gets))
-		idx := r.rentIdx(len(gets))
-		for i := range gets {
-			if gets[i].Table.r.ShardOfKey(gets[i].PartKey) != s {
-				continue
-			}
-			sbuf = append(sbuf, ndb.BatchGet{Table: gets[i].Table.tabs[s], PartKey: gets[i].PartKey, Key: gets[i].Key})
-			idx = append(idx, i)
-		}
-		if len(sbuf) == 0 {
-			r.putGets(sbuf)
-			r.putIdx(idx)
-			continue
-		}
-		sub, err := t.subFor(s, gets[idx[0]].Table, gets[idx[0]].PartKey)
+	if len(buf) == len(items) {
+		sub, err := t.subFor(first, hintTS, hintPK)
+		var res []R
 		if err == nil {
-			var vals []ndb.BatchVal
-			vals, err = sub.ReadBatch(sbuf)
-			for j, i := range idx {
-				out[i] = vals[j]
+			res, err = run(sub, buf)
+		}
+		bufs.put(buf)
+		return res, err
+	}
+	bufs.put(buf)
+	out := make([]R, len(items))
+	for s := 0; s < r.n; s++ {
+		sbuf := bufs.rent(len(items))
+		idx := r.idx.rent(len(items))
+		for i, it := range items {
+			if ts, pk := it.route(); ts.Shard(pk) == s {
+				sbuf = append(sbuf, it.local(s))
+				idx = append(idx, i)
 			}
 		}
-		r.putGets(sbuf)
-		r.putIdx(idx)
+		var err error
+		if len(idx) > 0 {
+			hintTS, hintPK = items[idx[0]].route()
+			var sub *ndb.Txn
+			var res []R
+			if sub, err = t.subFor(s, hintTS, hintPK); err == nil {
+				res, err = run(sub, sbuf)
+			}
+			if err == nil {
+				for j, i := range idx {
+					out[i] = res[j]
+				}
+			}
+		}
+		bufs.put(sbuf)
+		r.idx.put(idx)
 		if err != nil {
 			return nil, err
 		}
@@ -234,124 +257,42 @@ func (t *Txn) ReadBatch(gets []BatchGet) ([]ndb.BatchVal, error) {
 	return out, nil
 }
 
+// ReadBatch reads many rows in one batched fan-out per touched shard,
+// returning values positionally. When all rows hash to one shard — every
+// batched resolution of a path, since child rows share the parent's
+// partition key — this is a single ndb.ReadBatch, unchanged.
+//
+// The three batch wrappers are kept out of line: a generic shape
+// instantiation called from another package carries no escape summary, so
+// inlining them would move every caller's item slice to the heap.
+//
+//go:noinline
+func (t *Txn) ReadBatch(gets []BatchGet) ([]ndb.BatchVal, error) {
+	return splitBatch(t, gets, &t.r.gets, (*ndb.Txn).ReadBatch)
+}
+
 // ScanBatch runs many prefix scans in one batched fan-out per touched
 // shard, returning result sets positionally.
+//
+//go:noinline
 func (t *Txn) ScanBatch(scans []BatchScan) ([][]ndb.KV, error) {
-	if len(scans) == 0 {
-		return nil, nil
-	}
-	r := t.r
-	buf := r.rentScans(len(scans))
-	first := scans[0].Table.r.ShardOfKey(scans[0].PartKey)
-	same := true
-	for i := range scans {
-		s := scans[i].Table.r.ShardOfKey(scans[i].PartKey)
-		if s != first {
-			same = false
-			break
-		}
-		buf = append(buf, ndb.BatchScan{Table: scans[i].Table.tabs[s], PartKey: scans[i].PartKey, Prefix: scans[i].Prefix})
-	}
-	if same {
-		sub, err := t.subFor(first, scans[0].Table, scans[0].PartKey)
-		if err != nil {
-			r.putScans(buf)
-			return nil, err
-		}
-		kvs, err := sub.ScanBatch(buf)
-		r.putScans(buf)
-		return kvs, err
-	}
-	r.putScans(buf)
-	out := make([][]ndb.KV, len(scans))
-	for s := 0; s < r.n; s++ {
-		sbuf := r.rentScans(len(scans))
-		idx := r.rentIdx(len(scans))
-		for i := range scans {
-			if scans[i].Table.r.ShardOfKey(scans[i].PartKey) != s {
-				continue
-			}
-			sbuf = append(sbuf, ndb.BatchScan{Table: scans[i].Table.tabs[s], PartKey: scans[i].PartKey, Prefix: scans[i].Prefix})
-			idx = append(idx, i)
-		}
-		if len(sbuf) == 0 {
-			r.putScans(sbuf)
-			r.putIdx(idx)
-			continue
-		}
-		sub, err := t.subFor(s, scans[idx[0]].Table, scans[idx[0]].PartKey)
-		if err == nil {
-			var kvs [][]ndb.KV
-			kvs, err = sub.ScanBatch(sbuf)
-			for j, i := range idx {
-				out[i] = kvs[j]
-			}
-		}
-		r.putScans(sbuf)
-		r.putIdx(idx)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return splitBatch(t, scans, &t.r.scans, (*ndb.Txn).ScanBatch)
 }
 
 // WriteBatch stages all mutations, grouped per shard. A batch that stays
 // on one shard — every create, delete, and same-directory rename — is one
 // ndb.WriteBatch, staged and committed exactly as before.
+//
+//go:noinline
 func (t *Txn) WriteBatch(items []BatchWrite) error {
-	if len(items) == 0 {
-		return nil
-	}
-	r := t.r
-	buf := r.rentWrites(len(items))
-	first := items[0].Table.r.ShardOfKey(items[0].PartKey)
-	same := true
-	for i := range items {
-		s := items[i].Table.r.ShardOfKey(items[i].PartKey)
-		if s != first {
-			same = false
-			break
-		}
-		buf = append(buf, ndb.BatchWrite{Table: items[i].Table.tabs[s], PartKey: items[i].PartKey, Key: items[i].Key, Val: items[i].Val, Del: items[i].Del})
-	}
-	if same {
-		sub, err := t.subFor(first, items[0].Table, items[0].PartKey)
-		if err != nil {
-			r.putWrites(buf)
-			return err
-		}
-		err = sub.WriteBatch(buf)
-		r.putWrites(buf)
-		return err
-	}
-	r.putWrites(buf)
-	for s := 0; s < r.n; s++ {
-		sbuf := r.rentWrites(len(items))
-		firstIdx := -1
-		for i := range items {
-			if items[i].Table.r.ShardOfKey(items[i].PartKey) != s {
-				continue
-			}
-			if firstIdx < 0 {
-				firstIdx = i
-			}
-			sbuf = append(sbuf, ndb.BatchWrite{Table: items[i].Table.tabs[s], PartKey: items[i].PartKey, Key: items[i].Key, Val: items[i].Val, Del: items[i].Del})
-		}
-		if firstIdx < 0 {
-			r.putWrites(sbuf)
-			continue
-		}
-		sub, err := t.subFor(s, items[firstIdx].Table, items[firstIdx].PartKey)
-		if err == nil {
-			err = sub.WriteBatch(sbuf)
-		}
-		r.putWrites(sbuf)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := splitBatch(t, items, &t.r.writes, writeBatch)
+	return err
+}
+
+// writeBatch adapts ndb.Txn.WriteBatch to splitBatch. Its results are
+// zero-size, so they allocate nothing.
+func writeBatch(sub *ndb.Txn, items []ndb.BatchWrite) ([]struct{}, error) {
+	return make([]struct{}, len(items)), sub.WriteBatch(items)
 }
 
 // Abort aborts every open sub-transaction.

@@ -96,9 +96,6 @@ func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// Go is Spawn with an anonymous name.
-func (e *Env) Go(fn func(p *Proc)) *Proc { return e.Spawn("proc", fn) }
-
 // At schedules fn to run as an event callback at absolute virtual time t
 // (clamped to now). Event callbacks run on the scheduler and must not block;
 // they typically send to mailboxes or spawn processes.

@@ -155,9 +155,8 @@ func (n *Network) newEnvelope() *envelope {
 	return e
 }
 
-// deliver runs at the arrival instant: it re-checks liveness and
-// partitions (conditions may have changed while the message was in
-// flight), hands the message to the destination inbox, and recycles the
+// deliver runs at the arrival instant: it hands the message to the
+// destination inbox if it still arrives (see arrives) and recycles the
 // envelope. State is copied out and the envelope recycled first, so a
 // handler scheduling more sends can reuse it immediately.
 func (e *envelope) deliver() {
@@ -165,16 +164,9 @@ func (e *envelope) deliver() {
 	e.from, e.to = nil, nil
 	e.msg = Message{}
 	n.freeEnvs = append(n.freeEnvs, e)
-	if !to.alive {
-		n.dropped++
-		return
+	if n.arrives(from, to, msg.Size) {
+		to.Inbox.Send(msg)
 	}
-	if from.zone != to.zone && n.Partitioned(from.zone, to.zone) {
-		n.dropped++
-		return
-	}
-	to.nicRead += int64(msg.Size)
-	to.Inbox.Send(msg)
 }
 
 // netObs caches registry handles so the per-message cost is two atomic adds
@@ -443,23 +435,14 @@ func (n *Network) lost(d *degradation) bool {
 // the pooled fast path: each message rides a recycled envelope instead of
 // a fresh closure pair.
 func (n *Network) Send(from, to *Node, size int, payload any) {
-	arrive, ok := n.departure(from, to, size)
-	if !ok {
+	if n.drops(from, to, false) {
 		return
 	}
+	cleared, _, lat := n.depart(from, to, size)
 	e := n.newEnvelope()
 	e.from, e.to = from, to
 	e.msg = Message{From: from.id, To: to.id, Size: size, Payload: payload}
-	n.env.At(arrive, e.fire)
-}
-
-// Deliver transmits size bytes from one node to another and, on arrival,
-// delivers v into the given mailbox instead of the destination's inbox.
-// This is the reply path of an RPC: the caller parks on its own mailbox and
-// the responder answers with Deliver, keeping latency, bandwidth queueing,
-// and traffic accounting identical to Send without a demultiplexer.
-func Deliver[T any](n *Network, from, to *Node, size int, mb *sim.Mailbox[T], v T) {
-	n.transmit(from, to, size, func() { mb.Send(v) })
+	n.env.At(cleared+lat, e.fire)
 }
 
 // Travel blocks p until a message of the given size sent from one node
@@ -470,13 +453,19 @@ func Deliver[T any](n *Network, from, to *Node, size int, mb *sim.Mailbox[T], v 
 // instead.
 func (n *Network) Travel(p *sim.Proc, from, to *Node, size int, timeout time.Duration) bool {
 	if from.alive && (from.zone == to.zone || !n.Partitioned(from.zone, to.zone)) {
-		// The blocking form cannot know the wire time up front (transmit
-		// schedules it); it is off the hot metadata path, so hop time 0 is
-		// an acceptable attribution loss.
+		// The blocking form records no wire time: it is off the hot
+		// metadata path, so hop time 0 is an acceptable attribution loss.
 		p.Span().RecordHop(HopClassOf(from, to), size, 0)
 	}
 	mb := sim.NewMailbox[struct{}](n.env)
-	n.transmit(from, to, size, func() { mb.Send(struct{}{}) })
+	if !n.drops(from, to, false) {
+		cleared, _, lat := n.depart(from, to, size)
+		n.env.At(cleared+lat, func() {
+			if n.arrives(from, to, size) {
+				mb.Send(struct{}{})
+			}
+		})
+	}
 	_, ok := mb.RecvTimeout(p, timeout)
 	return ok
 }
@@ -488,80 +477,52 @@ func (n *Network) Travel(p *sim.Proc, from, to *Node, size int, timeout time.Dur
 // partitioned, the RPC timeout is deferred and false is returned — the
 // caller observes exactly what Travel's timeout would have cost.
 func (n *Network) TravelDeferred(p *sim.Proc, from, to *Node, size int, timeout time.Duration) bool {
-	if !from.alive || !to.alive ||
-		(from.zone != to.zone && n.Partitioned(from.zone, to.zone)) {
-		n.dropped++
+	if n.drops(from, to, true) {
 		p.Defer(timeout)
 		return false
 	}
-	if n.lost(n.degradationFor(from.zone, to.zone)) {
-		n.dropped++
-		p.Defer(timeout)
-		return false
-	}
-	from.nicWrite += int64(size)
 	to.nicRead += int64(size)
-	hop := HopClassOf(from, to)
-	n.observe(hop, size)
-	n.observeLink(from.zone, to.zone, size)
-	lat := n.latency(from, to)
-	key := [2]ZoneID{from.zone, to.zone}
-	lk := n.links[key]
-	if lk == nil {
-		lk = &link{}
-		n.links[key] = lk
-	}
-	lk.bytes += int64(size)
-	lk.messages++
-	// Link horizons are kept in the clock frame (see Resource.UseDeferred);
-	// the caller's message additionally cannot depart before its own
-	// effective instant.
-	clock := n.env.Now()
+	cleared, tx, lat := n.depart(from, to, size)
+	// The link horizon is in the clock frame (see Resource.UseDeferred);
+	// the caller's message additionally cannot arrive before its own
+	// effective instant plus its transmission time.
 	eff := p.EffNow()
-	departClock := clock
-	arrival := eff
-	bw := n.bandwidth(from.zone, to.zone)
-	if bw > 0 && from.id != to.id {
-		if lk.nextFree > departClock {
-			departClock = lk.nextFree
-		}
-		tx := time.Duration(float64(size) / bw * float64(time.Second))
-		lk.nextFree = departClock + tx
-		arrival = departClock + tx
-		if eff+tx > arrival {
-			arrival = eff + tx
-		}
-	}
+	arrival := max(cleared, eff+tx)
 	// The hop's wire time is the whole deferral: queueing + transmission +
 	// propagation. Recorded after the delay computation so the profiler can
 	// attribute it, but before Defer (RecordHop consumes no randomness, so
 	// the RNG stream is unchanged).
 	wire := arrival + lat - eff
-	p.Span().RecordHop(hop, size, wire)
+	p.Span().RecordHop(HopClassOf(from, to), size, wire)
 	p.Defer(wire)
 	return true
 }
 
-// departure runs the shared drop/accounting/queueing/latency path of the
-// asynchronous forms, returning the arrival instant. ok is false when the
-// message is dropped at the source (dead sender, partition, lossy link).
-func (n *Network) departure(from, to *Node, size int) (arrive time.Duration, ok bool) {
-	if !from.alive {
+// drops reports whether a message is lost at the source, counting the
+// drop: a dead sender, a dead receiver when checkTo is set (the deferred
+// form resolves the whole hop at send time), a partitioned zone pair, or a
+// lossy degraded link. The loss coin is the only check that draws
+// randomness, so it runs last.
+func (n *Network) drops(from, to *Node, checkTo bool) bool {
+	if !from.alive || (checkTo && !to.alive) ||
+		(from.zone != to.zone && n.Partitioned(from.zone, to.zone)) ||
+		n.lost(n.degradationFor(from.zone, to.zone)) {
 		n.dropped++
-		return 0, false
+		return true
 	}
-	if from.zone != to.zone && n.Partitioned(from.zone, to.zone) {
-		n.dropped++
-		return 0, false
-	}
-	if n.lost(n.degradationFor(from.zone, to.zone)) {
-		n.dropped++
-		return 0, false
-	}
+	return false
+}
+
+// depart charges one departing message to every counter — the sender's
+// NIC, the hop-class and per-link registry counters, the zone-pair link's
+// bytes and messages — and queues it on the link's FIFO. It returns the
+// instant the message clears the link (now when bandwidth is unmodelled),
+// its transmission time, and its propagation latency (one jitter draw).
+func (n *Network) depart(from, to *Node, size int) (cleared, tx, lat time.Duration) {
 	from.nicWrite += int64(size)
 	n.observe(HopClassOf(from, to), size)
 	n.observeLink(from.zone, to.zone, size)
-	lat := n.latency(from, to)
+	lat = n.latency(from, to)
 	key := [2]ZoneID{from.zone, to.zone}
 	lk := n.links[key]
 	if lk == nil {
@@ -570,39 +531,28 @@ func (n *Network) departure(from, to *Node, size int) (arrive time.Duration, ok 
 	}
 	lk.bytes += int64(size)
 	lk.messages++
-	depart := n.env.Now()
-	bw := n.bandwidth(from.zone, to.zone)
-	if bw > 0 && from.id != to.id {
-		if lk.nextFree > depart {
-			depart = lk.nextFree
+	cleared = n.env.Now()
+	if bw := n.bandwidth(from.zone, to.zone); bw > 0 && from.id != to.id {
+		if lk.nextFree > cleared {
+			cleared = lk.nextFree
 		}
-		tx := time.Duration(float64(size) / bw * float64(time.Second))
-		lk.nextFree = depart + tx
-		depart += tx
+		tx = time.Duration(float64(size) / bw * float64(time.Second))
+		cleared += tx
+		lk.nextFree = cleared
 	}
-	return depart + lat, true
+	return cleared, tx, lat
 }
 
-// transmit schedules an arbitrary handover on arrival: the generic (and
-// closure-allocating) form used by Deliver and Travel, which carry typed
-// mailboxes the envelope pool cannot.
-func (n *Network) transmit(from, to *Node, size int, handover func()) {
-	arrive, ok := n.departure(from, to, size)
-	if !ok {
-		return
+// arrives re-checks, at the arrival instant, what may have changed while
+// the message was in flight — the receiver's liveness and the partition —
+// counting a drop, or charging the receiver's NIC when it gets through.
+func (n *Network) arrives(from, to *Node, size int) bool {
+	if !to.alive || (from.zone != to.zone && n.Partitioned(from.zone, to.zone)) {
+		n.dropped++
+		return false
 	}
-	n.env.At(arrive, func() {
-		if !to.alive {
-			n.dropped++
-			return
-		}
-		if from.zone != to.zone && n.Partitioned(from.zone, to.zone) {
-			n.dropped++
-			return
-		}
-		to.nicRead += int64(size)
-		handover()
-	})
+	to.nicRead += int64(size)
+	return true
 }
 
 // latency returns the one-way propagation latency between two nodes with
@@ -726,10 +676,6 @@ func (nd *Node) diskDelay(size int) time.Duration {
 	nd.diskNextFree = start + tx + nd.DiskLatency
 	return nd.diskNextFree - now
 }
-
-// DiskBusyUntil exposes the disk fluid-queue horizon, used by utilization
-// accounting.
-func (nd *Node) DiskBusyUntil() time.Duration { return nd.diskNextFree }
 
 // String implements fmt.Stringer.
 func (nd *Node) String() string {

@@ -178,22 +178,29 @@ func TestBandwidthQueueingDelaysBulkTransfers(t *testing.T) {
 	}
 }
 
-func TestDeliverRoutesToReplyMailbox(t *testing.T) {
+func TestTravelAccountsAndTimesOut(t *testing.T) {
 	env, net := newTestNet(t)
 	a := net.NewNode("a", 1, 1)
 	b := net.NewNode("b", 2, 2)
-	reply := sim.NewMailbox[string](env)
-	var got string
+	dead := net.NewNode("dead", 2, 3)
+	dead.Fail()
+	var ok, okDead bool
 	env.Spawn("caller", func(p *sim.Proc) {
-		Deliver(net, b, a, 64, reply, "pong")
-		got = reply.Recv(p)
+		ok = net.Travel(p, b, a, 64, time.Second)
+		okDead = net.Travel(p, a, dead, 64, time.Millisecond)
 	})
 	env.Run()
-	if got != "pong" {
-		t.Fatalf("got %q, want pong", got)
+	if !ok {
+		t.Fatal("travel between live nodes timed out")
 	}
 	if _, w := b.NICBytes(); w != 64 {
-		t.Fatalf("reply bytes not accounted: %d", w)
+		t.Fatalf("sender bytes not accounted: %d", w)
+	}
+	if r, _ := a.NICBytes(); r != 64 {
+		t.Fatalf("receiver bytes not accounted: %d", r)
+	}
+	if okDead || net.Dropped() != 1 {
+		t.Fatalf("travel to a dead node: ok=%v dropped=%d, want false and 1", okDead, net.Dropped())
 	}
 }
 
